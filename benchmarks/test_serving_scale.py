@@ -39,8 +39,12 @@ from repro.serving import (
 
 FP16 = NoCompression().cost_spec()
 
-#: requests in the scale scenario (paper-scale; REPRO_SCALE=smoke shrinks it)
-N_REQUESTS = 3072 if os.environ.get("REPRO_SCALE") != "smoke" else 512
+#: requests in the full-scale scenario (its fold is pinned in the
+#: golden trace manifest)
+SCALE_REQUESTS = 3072
+
+#: requests in this run (paper-scale; REPRO_SCALE=smoke shrinks it)
+N_REQUESTS = SCALE_REQUESTS if os.environ.get("REPRO_SCALE") != "smoke" else 512
 
 #: absolute floor for the columnar path at N_REQUESTS=3072, simulated
 #: requests/sec.  Measured 5488.6 req/s on the reference container —
@@ -58,13 +62,13 @@ MIN_SPEEDUP = 10.0
 SEED_BASELINE = {"requests_per_sec": 184.9, "events_per_sec": 4829.0}
 
 
-def _instance():
+def scale_instance():
     return ServerInstance(
         ServingCostModel(LLAMA_7B, A6000, LMDEPLOY), FP16
     )
 
 
-def _stream(n):
+def scale_stream(n):
     # serving-core shape: Poisson arrivals at 8 rps, long prompts and
     # responses so the KV budget binds and the queue grows deep
     rng = np.random.default_rng(7)
@@ -83,8 +87,8 @@ def _stream(n):
 
 def _measure(trace):
     """Run the scenario on ``trace``; returns (metrics dict, folds)."""
-    reqs = _stream(N_REQUESTS)
-    inst = _instance()
+    reqs = scale_stream(N_REQUESTS)
+    inst = scale_instance()
     t0 = time.perf_counter()
     res = inst.run(reqs, trace=trace)
     t_run = time.perf_counter() - t0
