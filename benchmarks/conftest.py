@@ -44,10 +44,17 @@ def _unit(name: str) -> str:
     its dotted/bracketed name (section prefixes must not leak in)."""
     parts = name.lower().replace("]", ".").replace("[", ".").split(".")
     n = [p for p in parts if p][-1]
-    # replay rates come first: "events_per_second" must not fall into
-    # the wall-clock "s" bucket below
-    if "events_per_second" in n or "events_s" in n:
-        return "events/s"
+    # rates come first: "events_per_second" must not fall into the
+    # wall-clock "s" bucket below
+    if "_per_sec" in n:
+        noun = n.split("_per_sec")[0].rsplit("_", 1)[-1]
+        return {"requests": "req/s", "tokens": "tokens/s"}.get(
+            noun, f"{noun}/s"
+        )
+    if n.startswith("speedup"):
+        return "x"
+    if n.endswith("_mb"):
+        return "MB"
     if "throughput" in n or "goodput" in n:
         return "tokens/s"
     if any(

@@ -1,24 +1,21 @@
 """Benchmark: serving-core simulation throughput at scale.
 
 Drives one saturated instance through the serving-core Poisson
-workload (3072 requests, ~80k trace events) twice — once on the
-columnar :class:`Trace` with the vectorized folds ("after"), once on
-:class:`ObjectTrace` with the legacy per-event folds ("before") — and
-records simulated requests/sec and trace events/sec for both in
-``results/BENCH_serving.json``, together with the frozen pre-refactor
-seed baseline.
+workload (3072 requests, ~80k trace events) on the columnar
+:class:`Trace`, folds the trace, and records simulated requests/sec and
+trace events/sec in ``results/BENCH_serving.json``, together with the
+frozen pre-refactor seed baseline.
 
-Two acceptance gates fail CI on regression:
-
-- the columnar path must stay >= ``FLOOR_RPS`` requests/sec, and
-- it must hold a >= 10x speedup over the in-run object-path
-  measurement (the same machine, so the ratio is hardware-independent).
-
-Both paths assert fold equality inline, so this doubles as a
-large-scale equivalence check.
+At full scale the run fails CI when it drops below ``FLOOR_RPS``
+requests/sec, and its fold (``StepMetrics``, per-request latencies and
+queue delays) must equal the ``serving_scale`` entry of the golden
+trace manifest (``tests/golden/traces.json``), so this doubles as a
+large-scale exactness check.
 """
 
+import json
 import os
+import pathlib
 import time
 
 import numpy as np
@@ -28,7 +25,6 @@ from repro.engines import LMDEPLOY, ServingCostModel
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
-    ObjectTrace,
     ServerInstance,
     ServingRequest,
     StepMetrics,
@@ -46,14 +42,16 @@ SCALE_REQUESTS = 3072
 #: requests in this run (paper-scale; REPRO_SCALE=smoke shrinks it)
 N_REQUESTS = SCALE_REQUESTS if os.environ.get("REPRO_SCALE") != "smoke" else 512
 
-#: absolute floor for the columnar path at N_REQUESTS=3072, simulated
-#: requests/sec.  Measured 5488.6 req/s on the reference container —
-#: the floor leaves >5x headroom for slower CI machines while staying
-#: >3x above the object path.
+#: absolute floor at N_REQUESTS=3072, simulated requests/sec.
+#: Measured 5488.6 req/s on the reference container — the floor leaves
+#: >5x headroom for slower CI machines.
 FLOOR_RPS = 1000.0
 
-#: minimum columnar-vs-object speedup (same machine, same run)
-MIN_SPEEDUP = 10.0
+#: golden folds, including this scenario's at SCALE_REQUESTS
+MANIFEST = (
+    pathlib.Path(__file__).resolve().parent.parent
+    / "tests" / "golden" / "traces.json"
+)
 
 #: pre-refactor seed baseline, measured from the pre-refactor tree on
 #: the reference container at N_REQUESTS=3072 (object trace, per-event
@@ -85,8 +83,9 @@ def scale_stream(n):
     ]
 
 
-def _measure(trace):
-    """Run the scenario on ``trace``; returns (metrics dict, folds)."""
+def _measure():
+    """Run and fold the scenario; returns (metrics dict, folds)."""
+    trace = Trace()
     reqs = scale_stream(N_REQUESTS)
     inst = scale_instance()
     t0 = time.perf_counter()
@@ -113,22 +112,14 @@ def _measure(trace):
 
 
 def test_serving_scale(benchmark, record_bench_json):
-    def run():
-        after, col_folds = _measure(Trace())
-        before, obj_folds = _measure(ObjectTrace())
-        # same workload, same simulator: the folds must agree exactly
-        assert col_folds == obj_folds
-        return after, before
-
-    after, before = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = after["requests_per_sec"] / before["requests_per_sec"]
+    after, (m, lats, delays) = benchmark.pedantic(
+        _measure, rounds=1, iterations=1
+    )
     record_bench_json(
         "serving_scale",
         {
             "columnar": after,
-            "object_path": before,
             "seed_baseline": SEED_BASELINE,
-            "speedup_vs_object": speedup,
             "speedup_vs_seed": (
                 after["requests_per_sec"]
                 / SEED_BASELINE["requests_per_sec"]
@@ -136,14 +127,15 @@ def test_serving_scale(benchmark, record_bench_json):
             "floor_requests_per_sec": FLOOR_RPS,
         },
     )
-    if N_REQUESTS >= 3072:
-        # acceptance gates (full scale only: at smoke scale the trace
-        # is too small for the fold/record savings to dominate)
+    if N_REQUESTS >= SCALE_REQUESTS:
+        # acceptance gates (full scale only: the golden fold is the
+        # 3072-request one, and the floor was calibrated there)
+        golden = json.loads(MANIFEST.read_text())["serving_scale"]
+        assert after["events"] == golden["events"]
+        assert m.as_dict() == golden["step_metrics"]
+        assert lats == golden["request_latencies"]
+        assert delays == golden["queue_delays"]
         assert after["requests_per_sec"] >= FLOOR_RPS, (
-            f"columnar serving throughput {after['requests_per_sec']:.0f} "
+            f"serving throughput {after['requests_per_sec']:.0f} "
             f"req/s fell below the {FLOOR_RPS:.0f} req/s floor"
-        )
-        assert speedup >= MIN_SPEEDUP, (
-            f"columnar path is only {speedup:.1f}x the object path "
-            f"(need >= {MIN_SPEEDUP:.0f}x)"
         )

@@ -98,15 +98,16 @@ class Cluster:
         """Dispatch ``req`` to instance ``index`` mid-run.
 
         Used by re-routing paths that originate *inside* the simulation
-        (the router's verify-and-fallback re-decodes): the arrival is
-        registered and consumed in one step, exactly as the normal
-        ``expect``/``receive`` pair does for front-door arrivals.
+        (the router's verify-and-fallback re-decodes).  Such a hook can
+        fire inside a decode burst simulated ahead of the shared clock,
+        so ``req.arrival`` may lie in the loop's future: the request is
+        delivered as one loop event at its arrival (``submit``), never
+        admitted before it.
         """
         inst = self.instances[index]
-        inst.expect(req.arrival)
         if self._telemetry is not None:
             self._telemetry.on_route(inst.name)
-        inst.receive(req)
+        inst.submit(req)
 
     # ------------------------------------------------------------------
     def run(

@@ -513,7 +513,7 @@ def mine(
             ):
                 telemetry.mined_incidents.inc(detector=det.name)
     incidents.sort(key=lambda i: (-i.score, i.start))
-    dropped = int(getattr(trace, "dropped_events", 0) or 0)
+    dropped = trace.dropped_events
     return MiningReport(
         incidents=incidents,
         anomalies=anomalies,

@@ -314,7 +314,7 @@ def extract_workload(trace) -> ReplayWorkload:
     """
     wl = ReplayWorkload(
         assignment=extract_assignment(trace),
-        partial=bool(getattr(trace, "dropped_events", 0)),
+        partial=bool(trace.dropped_events),
     )
     logical: List[str] = []
     seen = set()
@@ -505,7 +505,7 @@ def replay_trace(
     """
     if routing not in ("recorded", "live"):
         raise ValueError("routing must be 'recorded' or 'live'")
-    meta = getattr(trace, "meta", None) or {}
+    meta = trace.meta
     if scenario is None:
         scenario = meta.get("scenario")
     if scenario is None:
@@ -542,7 +542,7 @@ def replay_trace(
         events_recorded=len(trace),
         events_replayed=len(replay_collector),
         wall_seconds=wall,
-        partial=bool(getattr(trace, "dropped_events", 0)),
+        partial=bool(trace.dropped_events),
         unreplayable=unreplayable,
         trace=replay_collector,
     )

@@ -13,6 +13,12 @@ A :class:`SchedulerPolicy` answers two questions for a
   recompute preemption), so the victim choice trades wasted work
   against the policy's notion of priority.
 
+Each decision is one ``min``/``max`` scan over the queue keyed by a
+tuple whose trailing entries (arrival, then queue index) break ties,
+so every decision is deterministic.  At the queue depths the serving
+workloads reach (tens to a few hundred requests) the scan is faster
+than building NumPy arrays per call.
+
 Policies are deliberately tiny and stateless so routers, clusters and
 experiments can share instances freely.  ``make_policy`` resolves the
 string names used by the CLI and ``CompressedGenerationPipeline``.
@@ -23,28 +29,7 @@ from __future__ import annotations
 import abc
 from typing import List
 
-import numpy as np
-
 from repro.serving.request import ServingRequest
-
-#: below this queue length the scalar ``min()`` path is cheaper than
-#: building NumPy arrays; both paths make identical decisions
-_VECTOR_MIN = 8
-
-
-def _argmin2(primary: np.ndarray, secondary: np.ndarray) -> int:
-    """Index minimizing ``(primary, secondary, index)`` — the array
-    equivalent of ``min(range(n), key=...)`` tuple ordering."""
-    cand = np.nonzero(primary == primary.min())[0]
-    if len(cand) > 1:
-        sec = secondary[cand]
-        cand = cand[sec == sec.min()]
-    return int(cand[0])
-
-
-def _argmax_last(values: np.ndarray) -> int:
-    """Index maximizing ``(value, index)`` (ties -> latest index)."""
-    return int(np.nonzero(values == values.max())[0][-1])
 
 
 class SchedulerPolicy(abc.ABC):
@@ -81,14 +66,7 @@ class FCFSPolicy(SchedulerPolicy):
     head_of_sorted = True
 
     def select(self, waiting: List[ServingRequest], clock: float) -> int:
-        if len(waiting) < _VECTOR_MIN:
-            return min(
-                range(len(waiting)), key=lambda i: (waiting[i].arrival, i)
-            )
-        arrivals = np.fromiter(
-            (r.arrival for r in waiting), float, count=len(waiting)
-        )
-        return int(np.argmin(arrivals))  # argmin ties -> first index
+        return min(range(len(waiting)), key=lambda i: (waiting[i].arrival, i))
 
 
 class ShortestFirstPolicy(SchedulerPolicy):
@@ -106,32 +84,16 @@ class ShortestFirstPolicy(SchedulerPolicy):
         return float(req.response_len)
 
     def select(self, waiting: List[ServingRequest], clock: float) -> int:
-        if len(waiting) < _VECTOR_MIN:
-            return min(
-                range(len(waiting)),
-                key=lambda i: (
-                    self._expected(waiting[i]), waiting[i].arrival, i,
-                ),
-            )
-        n = len(waiting)
-        expected = np.fromiter(
-            (self._expected(r) for r in waiting), float, count=n
+        return min(
+            range(len(waiting)),
+            key=lambda i: (self._expected(waiting[i]), waiting[i].arrival, i),
         )
-        arrivals = np.fromiter((r.arrival for r in waiting), float, count=n)
-        return _argmin2(expected, arrivals)
 
     def victim(self, running: List[ServingRequest], clock: float = 0.0) -> int:
-        def remaining(r: ServingRequest) -> float:
-            return self._expected(r) - r.generated
-
-        if len(running) < _VECTOR_MIN:
-            return max(
-                range(len(running)), key=lambda i: (remaining(running[i]), i)
-            )
-        rem = np.fromiter(
-            (remaining(r) for r in running), float, count=len(running)
+        return max(
+            range(len(running)),
+            key=lambda i: (self._expected(running[i]) - running[i].generated, i),
         )
-        return _argmax_last(rem)
 
 
 class PriorityPolicy(SchedulerPolicy):
@@ -141,28 +103,16 @@ class PriorityPolicy(SchedulerPolicy):
     name = "priority"
 
     def select(self, waiting: List[ServingRequest], clock: float) -> int:
-        if len(waiting) < _VECTOR_MIN:
-            return min(
-                range(len(waiting)),
-                key=lambda i: (-waiting[i].priority, waiting[i].arrival, i),
-            )
-        n = len(waiting)
-        neg_prio = np.fromiter(
-            (-r.priority for r in waiting), float, count=n
+        return min(
+            range(len(waiting)),
+            key=lambda i: (-waiting[i].priority, waiting[i].arrival, i),
         )
-        arrivals = np.fromiter((r.arrival for r in waiting), float, count=n)
-        return _argmin2(neg_prio, arrivals)
 
     def victim(self, running: List[ServingRequest], clock: float = 0.0) -> int:
-        if len(running) < _VECTOR_MIN:
-            return min(
-                range(len(running)), key=lambda i: (running[i].priority, -i)
-            )
-        # min (priority, -index): lowest tier, latest admission wins ties
-        prio = np.fromiter(
-            (r.priority for r in running), float, count=len(running)
+        # lowest tier; the latest admission wins ties
+        return min(
+            range(len(running)), key=lambda i: (running[i].priority, -i)
         )
-        return int(np.nonzero(prio == prio.min())[0][-1])
 
 
 class SlackPolicy(SchedulerPolicy):
@@ -207,76 +157,19 @@ class SlackPolicy(SchedulerPolicy):
             work = self.seconds_per_token * (req.response_len - req.generated)
         return deadline - clock - work
 
-    def slack_array(
-        self, reqs: List[ServingRequest], clock: float
-    ) -> np.ndarray:
-        """Live slack for a whole queue/batch in one array pass.
-
-        Element-for-element the same float operations as
-        :meth:`slack`, so the values (and therefore every ordering
-        decision built on them) are bit-identical to the scalar path.
-        """
-        n = len(reqs)
-        spt = self.seconds_per_token
-        arrival = np.fromiter((r.arrival for r in reqs), float, count=n)
-        pre = np.fromiter(
-            (r.first_token is None for r in reqs), bool, count=n
-        )
-        ttft = np.fromiter(
-            (
-                r.ttft_deadline if r.ttft_deadline is not None else np.nan
-                for r in reqs
-            ),
-            float, count=n,
-        )
-        tbot = np.fromiter(
-            (
-                r.tbot_target if r.tbot_target is not None else np.nan
-                for r in reqs
-            ),
-            float, count=n,
-        )
-        first = np.fromiter(
-            (r.first_token if r.first_token is not None else 0.0
-             for r in reqs),
-            float, count=n,
-        )
-        prompt_left = np.fromiter(
-            (r.prompt_len - r.prefilled for r in reqs), float, count=n
-        )
-        resp_left = np.fromiter(
-            (r.response_len - r.generated for r in reqs), float, count=n
-        )
-        resp_m1 = np.fromiter(
-            (max(r.response_len - 1, 0) for r in reqs), float, count=n
-        )
-        slack = (arrival + ttft) - clock - spt * prompt_left
-        decoding = (first + tbot * resp_m1) - clock - spt * resp_left
-        slack[~pre] = decoding[~pre]
-        slack[np.isnan(slack)] = np.inf  # no target -> infinite slack
-        return slack
-
     def select(self, waiting: List[ServingRequest], clock: float) -> int:
-        if len(waiting) < _VECTOR_MIN:
-            return min(
-                range(len(waiting)),
-                key=lambda i: (
-                    self.slack(waiting[i], clock), waiting[i].arrival, i,
-                ),
-            )
-        slack = self.slack_array(waiting, clock)
-        arrivals = np.fromiter(
-            (r.arrival for r in waiting), float, count=len(waiting)
+        return min(
+            range(len(waiting)),
+            key=lambda i: (
+                self.slack(waiting[i], clock), waiting[i].arrival, i,
+            ),
         )
-        return _argmin2(slack, arrivals)
 
     def victim(self, running: List[ServingRequest], clock: float = 0.0) -> int:
-        if len(running) < _VECTOR_MIN:
-            return max(
-                range(len(running)),
-                key=lambda i: (self.slack(running[i], clock), i),
-            )
-        return _argmax_last(self.slack_array(running, clock))
+        return max(
+            range(len(running)),
+            key=lambda i: (self.slack(running[i], clock), i),
+        )
 
 
 _POLICIES = {

@@ -42,12 +42,12 @@ SeriesKey = Tuple[str, str]
 
 
 class _InstHot:
-    """Per-instance pre-resolved write targets for the event fold.
+    """Per-instance pre-resolved write targets for the decode fold.
 
-    ``on_event`` runs once per recorded trace event, dominated by
-    DECODE_STEP; resolving the metric series / value dicts once per
-    instance lets that branch update them with plain dict/list ops
-    instead of a chain of method calls.
+    ``on_decode_steps`` runs once per decode burst and
+    ``sample_instance`` once per wake-up; resolving the metric series /
+    value dicts once per instance lets them update with plain dict/list
+    ops instead of a chain of method calls.
     """
 
     __slots__ = (
@@ -282,42 +282,24 @@ class Telemetry:
     def on_event(self, e: TraceEvent) -> None:
         """Fold one trace event into the registry.
 
-        This is the hottest publishing call (once per recorded event),
-        so it uses the metrics' pre-built-key fast paths — label keys
-        here are the label *values* in declared order.
+        A ``DECODE_STEP`` is folded as a one-step
+        :meth:`on_decode_steps` burst.  The other kinds use the
+        metrics' pre-built-key fast paths — label keys here are the
+        label *values* in declared order.
         """
         inst = e.instance
         d = e.data
         k = e.kind
         if k is EventType.DECODE_STEP:
-            hot = self._hot.get(inst)
-            if hot is None:
-                hot = self._hot[inst] = _InstHot(self, inst)
-            ev = self._ev_values
-            kk = hot.ev_decode
-            ev[kk] = ev.get(kk, 0.0) + 1.0
-            ik = hot.ik
-            seconds = d.get("seconds")
-            if seconds is not None:
-                s = hot.step
-                s.counts[bisect_left(hot.buckets, seconds)] += 1
-                s.sum += seconds
-                s.count += 1
-            batch = d.get("batch")
-            if batch is not None:
-                hot.batch_values[ik] = float(batch)
-            live = d.get("live")
-            if live is not None:
-                hot.gen_values[ik] = hot.gen_values.get(ik, 0.0) + live
-            used = d.get("used_tokens")
-            budget = d.get("token_budget")
-            if used is not None and budget is not None:
-                occ = used / max(1, budget)
-                hot.kv_values[ik] = occ
-                pts = hot.kv_pts
-                pts.append((e.time, occ))
-                if len(pts) > 2 * self.series_limit:
-                    pts[:] = pts[::2]  # decimate in place, keep the span
+            batch, live = d["batch"], d["live"]
+            self.on_decode_steps(
+                inst, (e.time,), batch, (d["kv"],), (d["seconds"],),
+                d["used_tokens"], d["token_budget"],
+            )
+            if live != batch:
+                # static batching prices the formed batch, but only its
+                # live members emitted a token this step
+                self._hot[inst].gen_values[(inst,)] += live - batch
             return
         ev = self._ev_values
         kk = (inst, k.value)
@@ -382,12 +364,12 @@ class Telemetry:
     ) -> None:
         """Fold a burst of ``DECODE_STEP`` events in one call.
 
-        The batched mirror of the per-event ``DECODE_STEP`` branch in
-        :meth:`on_event`, fed by the simulator's burst decode path
-        alongside ``Trace.record_decode_steps`` — the shared counters
-        and histogram land in one update per burst instead of one per
-        step.  ``used_tokens`` is a scalar or a per-step sequence, as
-        in the trace call.
+        Fed by the simulator's burst decode path alongside
+        ``Trace.record_decode_steps`` — the shared counters and
+        histogram land in one update per burst instead of one per
+        step — and, one step at a time, by :meth:`on_event`.
+        ``used_tokens`` is a scalar or a per-step sequence, as in the
+        trace call.
         """
         k = len(times)
         if k == 0:
@@ -446,10 +428,9 @@ class Telemetry:
         pts.append((now, running))
         if len(pts) > lim:
             pts[:] = pts[::2]
-        trace = getattr(inst, "_trace", None)
-        stats = getattr(trace, "memory_stats", None)
-        if stats is not None:
-            s = stats()
+        trace = inst._trace
+        if trace is not None:
+            s = trace.memory_stats()
             self.trace_events._values[ik] = float(s["events"])
             self.trace_capacity._values[ik] = float(s["capacity"])
             self.trace_buffer_bytes._values[ik] = float(s["buffer_bytes"])

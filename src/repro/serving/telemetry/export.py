@@ -25,12 +25,12 @@ Two refinements over the naive per-event loop:
   ``trace.meta`` and restores ``trace.dropped_events``, which the
   metrics folds and the anomaly miner report instead of silently
   treating a truncated trace as a full run.
-- **Columnar streaming.**  Dumping a columnar :class:`Trace` walks the
-  NumPy columns directly — signature-resolved payload keys, one reused
-  dict per line — instead of materializing (and permanently caching)
-  a :class:`TraceEvent` per row, which defeated the columnar memory
-  win on export-heavy runs.  Output bytes are identical to the object
-  path (pinned by the equivalence suite).
+- **Columnar streaming.**  Dumping walks the :class:`Trace` columns
+  directly — signature-resolved payload keys, one reused dict per
+  line — instead of materializing (and permanently caching) a
+  :class:`TraceEvent` per row, which defeated the columnar memory win
+  on export-heavy runs.  The golden manifest
+  (``tests/test_golden_traces.py``) pins the output bytes.
 
 The Chrome exporter emits the ``trace_event`` JSON object format
 (``{"traceEvents": [...]}``) so a *simulated* serving run opens in
@@ -71,22 +71,11 @@ META_KEY = "__trace_meta__"
 META_SCHEMA = 1
 
 
-def event_to_obj(e: TraceEvent) -> dict:
-    """One event as a JSON-ready dict (the JSONL line schema)."""
-    return {
-        "time": e.time,
-        "kind": e.kind.value,
-        "request_id": e.request_id,
-        "instance": e.instance,
-        "data": e.data,
-    }
-
-
-def _header(trace, scenario, workload, meta) -> Optional[dict]:
+def _header(trace: Trace, scenario, workload, meta) -> Optional[dict]:
     """The optional metadata header, or ``None`` when a plain dump
     (complete, unbounded, context-free) should stay header-less."""
-    dropped = int(getattr(trace, "dropped_events", 0) or 0)
-    max_events = getattr(trace, "max_events", None)
+    dropped = trace.dropped_events
+    max_events = trace.max_events
     if not (dropped or max_events is not None or scenario is not None
             or workload is not None or meta):
         return None
@@ -108,10 +97,10 @@ def _header(trace, scenario, workload, meta) -> Optional[dict]:
 def _iter_jsonl(trace: Trace) -> Iterator[str]:
     """One JSON line per event, streamed straight off the columns.
 
-    Byte-for-byte what ``json.dumps(event_to_obj(e))`` produces, but
-    without building (and caching) a :class:`TraceEvent` per row: the
-    columns are unboxed to plain Python lists once, payload keys come
-    from the interned signatures, and each line reuses one dict.
+    Each line is ``{"time", "kind", "request_id", "instance", "data"}``,
+    built without a :class:`TraceEvent` per row: the columns are
+    unboxed to plain Python lists once, payload keys come from the
+    interned signatures, and each line reuses one dict.
     """
     n = len(trace)
     kind_names = [k.value for k in KINDS]
@@ -154,7 +143,7 @@ def _iter_jsonl(trace: Trace) -> Iterator[str]:
 
 
 def dump_jsonl(
-    trace,
+    trace: Trace,
     path: PathLike,
     scenario: Optional[dict] = None,
     workload: Optional[List[dict]] = None,
@@ -166,22 +155,16 @@ def dump_jsonl(
     line (see the module docstring) together with the trace's
     ring-buffer truncation state; a complete unbounded trace dumped
     without context stays header-less, bytes identical to the legacy
-    format.  Columnar traces stream straight from the columns; anything
-    else (e.g. :class:`~repro.serving.trace.ObjectTrace`) takes the
-    per-event path.
+    format.
     """
     path = pathlib.Path(path)
     head = _header(trace, scenario, workload, meta)
-    if isinstance(trace, Trace):
-        lines: Iterator[str] = _iter_jsonl(trace)
-    else:
-        lines = (json.dumps(event_to_obj(e)) for e in trace.events)
     count = 0
     with path.open("w") as fp:
         if head is not None:
             fp.write(json.dumps(head) + "\n")
         batch: List[str] = []
-        for line in lines:
+        for line in _iter_jsonl(trace):
             batch.append(line)
             count += 1
             if len(batch) >= 4096:

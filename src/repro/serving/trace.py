@@ -61,10 +61,10 @@ keys an event holds (and their dict order) are interned as a
 reconstruct every event's ``data`` dict byte-for-byte, optional keys
 and insertion order included.  Value *types* round-trip exactly: a
 per-entry tag distinguishes float / int / bool, and anything else
-(strings, NumPy scalars) falls back to an object side-table, so the
-rendered timeline and the JSONL export are bit-for-bit what the old
-object-per-event collector produced (pinned by
-``tests/test_columnar_equivalence.py``).
+(strings, NumPy scalars) falls back to an object side-table.  The
+rendered timeline, the JSONL export and every fold are pinned
+scenario by scenario by the golden manifest
+(``tests/test_golden_traces.py``).
 
 The buffer grows geometrically (capacity doubles when full); passing
 ``max_events`` bounds it ring-buffer-style instead — once full, the
@@ -73,19 +73,14 @@ The buffer grows geometrically (capacity doubles when full); passing
 trace memory.  :meth:`Trace.memory_stats` reports
 events/capacity/bytes/drops for the telemetry memory gauges.
 
-The object API is preserved as thin lazy views: ``trace.events``
-indexes and iterates like the old list (each row materializes one
+The object API is a set of thin lazy views: ``trace.events``
+indexes and iterates like a list (each row materializes one
 :class:`TraceEvent` on demand, cached), and :meth:`Trace.of_kind` /
 :meth:`Trace.for_request` return **cached, no-copy** lists — repeat
 calls return the same list object until a new matching event is
 recorded (treat them as immutable).  ``repro.serving.metrics`` folds
 the columns directly with masked NumPy reductions instead of touching
 events at all.
-
-:class:`ObjectTrace` is the pre-refactor list-of-objects collector,
-kept as the reference implementation: the equivalence suite shadows
-every scenario against it, and the scale benchmark uses it as the
-"before" measurement.
 
 :func:`request_latencies` folds a trace back into per-request E2E
 latencies; they match ``SimulationResult.e2e`` exactly, which is the
@@ -618,112 +613,30 @@ class Trace:
         return self._n
 
 
-class ObjectTrace:
-    """The pre-refactor list-of-objects collector.
-
-    One Python :class:`TraceEvent` (dataclass + payload dict) per
-    event, with per-kind and per-request indices maintained on record.
-    Kept as the reference implementation: the columnar equivalence
-    suite shadows every scenario against it, and
-    ``benchmarks/test_serving_scale.py`` measures it as the "before"
-    path.  The folds in ``repro.serving.metrics`` fall back to the
-    per-event scan when handed one of these.
-    """
-
-    def __init__(self) -> None:
-        self.events: List[TraceEvent] = []
-        self._by_kind: Dict[EventType, List[TraceEvent]] = {}
-        self._by_request: Dict[str, List[TraceEvent]] = {}
-
-    def append(self, event: TraceEvent) -> None:
-        """Append an already-built event, keeping the indices current."""
-        self.events.append(event)
-        self._by_kind.setdefault(event.kind, []).append(event)
-        self._by_request.setdefault(event.request_id, []).append(event)
-
-    def record(
-        self,
-        time: float,
-        kind: EventType,
-        request_id: str = "",
-        instance: str = "",
-        **data,
-    ) -> None:
-        """Append one event."""
-        self.append(TraceEvent(time, kind, request_id, instance, data))
-
-    def record_fields(
-        self,
-        time: float,
-        kind: EventType,
-        request_id: str,
-        instance: str,
-        data: Dict[str, float],
-    ) -> None:
-        self.append(TraceEvent(time, kind, request_id, instance, data))
-
-    def of_kind(self, kind: EventType) -> List[TraceEvent]:
-        """All events of one kind, in time order."""
-        return list(self._by_kind.get(kind, ()))
-
-    def for_request(self, request_id: str) -> List[TraceEvent]:
-        """All events touching one request."""
-        return list(self._by_request.get(request_id, ()))
-
-    def request_ids(self) -> List[str]:
-        """Distinct non-empty request ids, in first-appearance order."""
-        return [rid for rid in self._by_request if rid]
-
-    def counts(self) -> Dict[str, int]:
-        """Event-kind histogram."""
-        return {
-            kind.value: len(events)
-            for kind, events in self._by_kind.items()
-        }
-
-    def render_timeline(self, limit: Optional[int] = None) -> str:
-        """Human-readable timeline (same contract as :class:`Trace`)."""
-        n = len(self.events)
-        shown = n if limit is None else max(0, min(limit, n))
-        lines = [e.render() for e in self.events[:shown]]
-        if shown < n:
-            lines.append(f"... ({n - shown} more events)")
-        return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-def request_latencies(trace) -> Dict[str, float]:
+def request_latencies(trace: Trace) -> Dict[str, float]:
     """Per-request E2E latency reconstructed purely from trace events.
 
     ``FINISH.time - FINISH.data["arrival"]`` — exactly what the
     simulator stores on each request, so these match
     ``SimulationResult.e2e`` with no tolerance.  FINISH events missing
     ``arrival`` (hand-built or truncated partial traces) are skipped.
-    The last FINISH per request wins, matching the object-path fold.
+    The last FINISH per request wins.
     """
-    if isinstance(trace, Trace):
-        out: Dict[str, float] = {}
-        rows = trace.rows_of(EventType.FINISH)
-        arr, present = trace.payload("arrival")
-        if arr is None or not len(rows):
-            return out
-        names = trace._req_names
-        times = trace._time
-        req = trace._req
-        for i in rows.tolist():
-            if present[i]:
-                out[names[req[i]]] = float(times[i] - arr[i])
+    out: Dict[str, float] = {}
+    rows = trace.rows_of(EventType.FINISH)
+    arr, present = trace.payload("arrival")
+    if arr is None or not len(rows):
         return out
-    out = {}
-    for e in trace.of_kind(EventType.FINISH):
-        if "arrival" in e.data:
-            out[e.request_id] = e.time - e.data["arrival"]
+    names = trace._req_names
+    times = trace._time
+    req = trace._req
+    for i in rows.tolist():
+        if present[i]:
+            out[names[req[i]]] = float(times[i] - arr[i])
     return out
 
 
-def queue_delays(trace) -> Dict[str, float]:
+def queue_delays(trace: Trace) -> Dict[str, float]:
     """Per-request queue delay (admit time minus the (re)queue epoch).
 
     Each admission is measured from ``queued_at`` — the arrival for a
@@ -733,28 +646,21 @@ def queue_delays(trace) -> Dict[str, float]:
     ``ServingRequest.queue_delay`` exactly.  ADMIT events carrying
     neither epoch (partial traces) are skipped.
     """
-    if isinstance(trace, Trace):
-        out: Dict[str, float] = {}
-        rows = trace.rows_of(EventType.ADMIT)
-        if not len(rows):
-            return out
-        qa, qa_p = trace.payload("queued_at")
-        ar, ar_p = trace.payload("arrival")
-        names = trace._req_names
-        times = trace._time
-        req = trace._req
-        for i in rows.tolist():
-            if qa_p is not None and qa_p[i]:
-                since = qa[i]
-            elif ar_p is not None and ar_p[i]:
-                since = ar[i]
-            else:
-                continue
-            out[names[req[i]]] = float(times[i] - since)
+    out: Dict[str, float] = {}
+    rows = trace.rows_of(EventType.ADMIT)
+    if not len(rows):
         return out
-    out = {}
-    for e in trace.of_kind(EventType.ADMIT):
-        since = e.data.get("queued_at", e.data.get("arrival"))
-        if since is not None:
-            out[e.request_id] = e.time - since
+    qa, qa_p = trace.payload("queued_at")
+    ar, ar_p = trace.payload("arrival")
+    names = trace._req_names
+    times = trace._time
+    req = trace._req
+    for i in rows.tolist():
+        if qa_p is not None and qa_p[i]:
+            since = qa[i]
+        elif ar_p is not None and ar_p[i]:
+            since = ar[i]
+        else:
+            continue
+        out[names[req[i]]] = float(times[i] - since)
     return out

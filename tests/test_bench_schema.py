@@ -10,11 +10,22 @@ benchmark that writes a malformed file fails CI.
 
 import json
 import pathlib
+import re
 
 import pytest
 
 RESULTS = pathlib.Path(__file__).resolve().parent.parent / "results"
 BENCH_FILES = sorted(RESULTS.glob("BENCH_*.json"))
+
+#: leaf names that carry a unit of their own and so are never counts:
+#: rates, speedup ratios and megabyte sizes
+NOT_COUNT = re.compile(r"(_per_sec(ond)?|^speedup.*|_mb)$")
+
+
+def leaf(name: str) -> str:
+    """The last dotted/bracketed component of an entry name."""
+    parts = name.replace("]", ".").replace("[", ".").split(".")
+    return [p for p in parts if p][-1]
 
 
 def test_bench_files_exist():
@@ -46,3 +57,5 @@ def test_bench_schema(path):
             assert e["name"] == section or e["name"].startswith(
                 section + "."
             ) or e["name"].startswith(section + "["), e["name"]
+            if NOT_COUNT.search(leaf(e["name"])):
+                assert e["unit"] != "count", e

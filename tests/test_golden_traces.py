@@ -245,31 +245,7 @@ def test_recording_folds_to_golden_and_replays_exact(name, manifest, tmp_path):
 # ----------------------------------------------------------------------
 # regeneration
 # ----------------------------------------------------------------------
-def certify_against_object_trace() -> None:
-    """Assert, before writing, that every golden run equals the
-    object-per-event reference collector on every surface."""
-    import test_columnar_equivalence as eq
-    from repro.serving import ObjectTrace
-
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, seed in CASES:
-            eq.test_columnar_matches_object(name, seed, pathlib.Path(tmp))
-            (_, _), (obj, _) = eq.run_pair(name, seed)
-            assert run(name, seed).events == obj.events, (name, seed)
-    eq.test_per_kind_and_per_request_views_match()
-    scale = load_scale_benchmark()
-    folds = []
-    for trace in (Trace(), ObjectTrace()):
-        scale.scale_instance().run(
-            scale.scale_stream(scale.SCALE_REQUESTS), trace=trace
-        )
-        folds.append(fold(trace))
-    assert folds[0] == folds[1]
-    print("certified: columnar trace == object trace on every scenario")
-
-
 def write_golden() -> None:
-    certify_against_object_trace()
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         scratch = pathlib.Path(tmp)

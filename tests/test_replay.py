@@ -60,7 +60,7 @@ def test_static_replay_is_exact(tmp_path):
     assert "EXACT" in report.render()
 
 
-def test_replay_without_workload_header_reconstructs_from_events(tmp_path):
+def test_replay_rebuilds_missing_workload_from_trace_events(tmp_path):
     trace = load_jsonl(export_fleet(tmp_path, "disagg"))
     trace.meta.pop("workload")
     report = replay_trace(trace)

@@ -8,7 +8,7 @@ import json
 import pytest
 
 from repro.compression import NoCompression
-from repro.engines import LMDEPLOY, ServingCostModel
+from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
 from repro.kvcache.paged import PagedStore
 from repro.model.arch import LLAMA_7B
@@ -16,7 +16,6 @@ from repro.serving import (
     EventLoop,
     EventType,
     NullTelemetry,
-    ObjectTrace,
     PrefixIndex,
     ServerInstance,
     ServingRequest,
@@ -251,6 +250,21 @@ class TestTelemetrySink:
         assert active(NullTelemetry()) is None
         assert active(tel) is tel
 
+    def test_static_batch_counts_only_live_tokens(self):
+        """Static batching prices each step at the formed batch size;
+        the token counter must still count only the members decoding."""
+        cm = ServingCostModel(LLAMA_7B, A6000, TRL)
+        reqs = [
+            ServingRequest(f"r{i}", 0.1 * i, 128, 8 + 16 * i)
+            for i in range(6)
+        ]
+        tel = Telemetry()
+        res = ServerInstance(cm, FP16, max_batch=4).run(reqs, telemetry=tel)
+        # every token after the prefill's first came from a decode step
+        assert tel.generated_tokens.total() == sum(
+            r.generated - 1 for r in res.requests
+        )
+
     def test_batched_decode_fold_matches_per_event(self):
         from repro.serving import TraceEvent
 
@@ -292,12 +306,6 @@ class TestTelemetrySink:
         assert tel.trace_dropped.value(instance="") == 0
         snap = tel.snapshot()
         assert "serving_trace_buffer_bytes" in snap
-        # ObjectTrace has no memory_stats: gauges simply stay unset
-        tel2 = Telemetry()
-        instance(max_batch=4).run(
-            requests(4), trace=ObjectTrace(), telemetry=tel2
-        )
-        assert tel2.trace_events._values == {}
 
 
 # ----------------------------------------------------------------------

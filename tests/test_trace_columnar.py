@@ -6,7 +6,7 @@ contract (``limit=0``, negative limits, empty traces)."""
 import numpy as np
 import pytest
 
-from repro.serving import EventType, ObjectTrace, Trace, TraceEvent
+from repro.serving import EventType, Trace, TraceEvent
 
 
 def fill(trace, n, kind=EventType.DECODE_STEP):
@@ -16,24 +16,24 @@ def fill(trace, n, kind=EventType.DECODE_STEP):
 
 
 class TestRenderTimelineEdges:
-    @pytest.mark.parametrize("make", [Trace, ObjectTrace])
+    @pytest.mark.parametrize("make", [Trace])
     def test_empty_trace(self, make):
         t = make()
         assert t.render_timeline() == ""
         assert t.render_timeline(limit=0) == ""
         assert t.render_timeline(limit=10) == ""
 
-    @pytest.mark.parametrize("make", [Trace, ObjectTrace])
+    @pytest.mark.parametrize("make", [Trace])
     def test_limit_zero_reports_all_cut(self, make):
         t = fill(make(), 5)
         assert t.render_timeline(limit=0) == "... (5 more events)"
 
-    @pytest.mark.parametrize("make", [Trace, ObjectTrace])
+    @pytest.mark.parametrize("make", [Trace])
     def test_negative_limit_clamps_to_zero(self, make):
         t = fill(make(), 3)
         assert t.render_timeline(limit=-2) == "... (3 more events)"
 
-    @pytest.mark.parametrize("make", [Trace, ObjectTrace])
+    @pytest.mark.parametrize("make", [Trace])
     def test_limit_at_or_past_len_has_no_suffix(self, make):
         t = fill(make(), 4)
         full = t.render_timeline()
@@ -42,7 +42,7 @@ class TestRenderTimelineEdges:
         assert t.render_timeline(limit=99) == full
         assert len(full.splitlines()) == 4
 
-    @pytest.mark.parametrize("make", [Trace, ObjectTrace])
+    @pytest.mark.parametrize("make", [Trace])
     def test_partial_limit_counts_exactly(self, make):
         t = fill(make(), 10)
         out = t.render_timeline(limit=7)

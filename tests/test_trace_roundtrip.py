@@ -4,20 +4,20 @@ Satellite coverage for the replay harness: the disaggregated-fleet
 event kinds (``KV_TRANSFER``, ``SCALE_UP``/``SCALE_DOWN``) and the
 staged/synthetic request ids (``#pf`` prefill stages, ``#fb`` fallback
 re-decodes) must survive ``dump_jsonl`` → ``load_jsonl`` exactly —
-payload values AND types — and must fold identically through both
-``StepMetrics`` paths (columnar and legacy event walk).  The metadata
+payload values AND types — and must fold to the values pinned below.
+The metadata
 header line added for ring-buffer truncation must round-trip drop
 counts and scenario/workload context without perturbing the legacy
 headerless byte format of unbounded exports.
 """
 
+import hashlib
 import json
 
 import pytest
 
 from repro.serving import (
     EventType,
-    ObjectTrace,
     StepMetrics,
     Trace,
     build_spans,
@@ -27,9 +27,34 @@ from repro.serving import (
 from repro.serving.telemetry.export import META_KEY
 
 
-def fleet_trace(cls=Trace, **kw):
+#: ``StepMetrics.from_trace(fleet_trace()).as_dict()``, recorded when
+#: the object-per-event fold still existed and agreed with it
+FLEET_FOLD = {
+    "decode_steps": 1, "admits": 3, "preempts": 0, "rejects": 0,
+    "finishes": 3, "prefill_chunks": 0, "partial_requests": 0,
+    "dropped_events": 0, "reroutes": 0, "fallbacks": 0,
+    "kv_transfers": 1, "kv_transfer_bytes": 2500000,
+    "kv_transfer_seconds": 0.02, "scale_ups": 1, "scale_downs": 1,
+    "decode_seconds": 0.01, "mean_batch_occupancy": 1.0,
+    "peak_batch_occupancy": 1, "mean_budget_utilization": 0.00855,
+    "peak_budget_utilization": 0.00855, "mean_queue_delay": 0.0,
+    "mean_tbot": 0.017142857142857144, "p99_tbot": 0.019942857142857148,
+    "max_decode_gap": 0.0, "ttft_attainment": 1.0, "tbot_attainment": 1.0,
+    "goodput": 35.714285714285715, "prefix_hits": 0,
+    "prefix_cached_tokens": 0, "prefix_saved_seconds": 0.0,
+    "prefix_hit_rate": 0.0,
+}
+
+#: sha256 of ``dump_jsonl(fleet_trace())``, recorded alongside
+#: ``FLEET_FOLD``
+FLEET_JSONL_SHA256 = (
+    "83cb381cf1f993fbff5f104e2715c73a45a63e44c2b0aa72d0b690ab017965a8"
+)
+
+
+def fleet_trace(**kw):
     """A hand-built disagg-shaped recording touching every fleet kind."""
-    t = cls(**kw)
+    t = Trace(**kw)
     # staged request: prefill under r0#pf on the prefill pool...
     t.record(0.00, EventType.ADMIT, "r0#pf", "pf0",
              arrival=0.0, queued_at=0.0, ttft_deadline=2.0)
@@ -83,9 +108,7 @@ def test_staged_ids_and_folds_survive_roundtrip(tmp_path):
     assert {"r0#pf", "r1#fb"} <= set(loaded.request_ids())
     folded = StepMetrics.from_trace(loaded)
     assert folded == StepMetrics.from_trace(trace)
-    # and the legacy event-walk fold agrees with the columnar one
-    obj = fleet_trace(cls=ObjectTrace)
-    assert StepMetrics.from_trace(obj) == folded
+    assert folded.as_dict() == FLEET_FOLD
     assert folded.kv_transfers == 1
     assert folded.kv_transfer_bytes == 2.5e6
     assert folded.scale_ups == 1 and folded.scale_downs == 1
@@ -108,11 +131,10 @@ def test_unbounded_dump_has_no_header(tmp_path):
     assert META_KEY not in first  # legacy byte format untouched
 
 
-def test_columnar_and_object_dumps_byte_identical(tmp_path):
-    a, b = tmp_path / "col.jsonl", tmp_path / "obj.jsonl"
-    dump_jsonl(fleet_trace(), a)
-    dump_jsonl(fleet_trace(cls=ObjectTrace), b)
-    assert a.read_bytes() == b.read_bytes()
+def test_fleet_dump_bytes_are_golden(tmp_path):
+    path = tmp_path / "fleet.jsonl"
+    dump_jsonl(fleet_trace(), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == FLEET_JSONL_SHA256
 
 
 def test_header_roundtrips_truncation_and_context(tmp_path):
