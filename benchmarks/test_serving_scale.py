@@ -40,7 +40,9 @@ FP16 = NoCompression().cost_spec()
 SCALE_REQUESTS = 3072
 
 #: requests in this run (paper-scale; REPRO_SCALE=smoke shrinks it)
-N_REQUESTS = SCALE_REQUESTS if os.environ.get("REPRO_SCALE") != "smoke" else 512
+N_REQUESTS = (
+    SCALE_REQUESTS if os.environ.get("REPRO_SCALE") != "smoke" else 512
+)
 
 #: absolute floor at N_REQUESTS=3072, simulated requests/sec.
 #: Measured 5488.6 req/s on the reference container — the floor leaves

@@ -92,7 +92,9 @@ class ShortestFirstPolicy(SchedulerPolicy):
     def victim(self, running: List[ServingRequest], clock: float = 0.0) -> int:
         return max(
             range(len(running)),
-            key=lambda i: (self._expected(running[i]) - running[i].generated, i),
+            key=lambda i: (
+                self._expected(running[i]) - running[i].generated, i,
+            ),
         )
 
 

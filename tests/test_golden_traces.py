@@ -189,10 +189,6 @@ def load_scale_benchmark():
     return module
 
 
-def load_manifest() -> dict:
-    return json.loads(MANIFEST.read_text())
-
-
 def assert_matches(got: dict, want: dict) -> None:
     """Field-by-field, so a failure names the surface that moved."""
     assert got.keys() == want.keys()
@@ -205,7 +201,7 @@ def assert_matches(got: dict, want: dict) -> None:
 # ----------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def manifest():
-    return load_manifest()
+    return json.loads(MANIFEST.read_text())
 
 
 @pytest.mark.parametrize(
