@@ -5,10 +5,9 @@ event kinds (``KV_TRANSFER``, ``SCALE_UP``/``SCALE_DOWN``) and the
 staged/synthetic request ids (``#pf`` prefill stages, ``#fb`` fallback
 re-decodes) must survive ``dump_jsonl`` → ``load_jsonl`` exactly —
 payload values AND types — and must fold to the values pinned below.
-The metadata
-header line added for ring-buffer truncation must round-trip drop
-counts and scenario/workload context without perturbing the legacy
-headerless byte format of unbounded exports.
+The metadata header line added for ring-buffer truncation must
+round-trip drop counts and scenario/workload context without
+perturbing the legacy headerless byte format of unbounded exports.
 """
 
 import hashlib
