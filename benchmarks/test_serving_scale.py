@@ -45,8 +45,8 @@ N_REQUESTS = (
 )
 
 #: absolute floor at N_REQUESTS=3072, simulated requests/sec.
-#: Measured 5488.6 req/s on the reference container — the floor leaves
-#: >5x headroom for slower CI machines.
+#: Measured ≈6.5k req/s (six 3-run medians, 6.0k–7.5k) on a loaded
+#: 2-vCPU host — the floor leaves >5x headroom for slower CI machines.
 FLOOR_RPS = 1000.0
 
 #: golden folds, including this scenario's at SCALE_REQUESTS

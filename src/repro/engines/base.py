@@ -103,6 +103,7 @@ class ServingCostModel:
             },
         )
         self.memory = MemoryModel(arch, gpu, tp)
+        self._memory_specs: Dict[tuple, KVMemorySpec] = {}
 
     # ------------------------------------------------------------------
     def _fits(
@@ -113,13 +114,19 @@ class ServingCostModel:
         return self.memory.breakdown(spec, batch, kv_len, prefill_len).fits
 
     def _memory_spec(self, comp: CompressionCostSpec) -> KVMemorySpec:
-        fp16 = self.arch.kv_bytes_per_token_per_layer()
-        return KVMemorySpec(
-            bytes_per_token_per_layer=fp16 * comp.kv_bytes_ratio,
-            residual_fp16_tokens=comp.residual_fp16_tokens,
-            max_tokens=comp.sparse_budget,
-            transient_fp16_copy=comp.kv_bytes_ratio < 1.0,
-        )
+        """The KV storage spec of ``comp``, memoized on the three fields
+        it depends on (every priced stage checks the memory fit)."""
+        key = (comp.kv_bytes_ratio, comp.residual_fp16_tokens, comp.sparse_budget)
+        spec = self._memory_specs.get(key)
+        if spec is None:
+            fp16 = self.arch.kv_bytes_per_token_per_layer()
+            spec = self._memory_specs[key] = KVMemorySpec(
+                bytes_per_token_per_layer=fp16 * comp.kv_bytes_ratio,
+                residual_fp16_tokens=comp.residual_fp16_tokens,
+                max_tokens=comp.sparse_budget,
+                transient_fp16_copy=comp.kv_bytes_ratio < 1.0,
+            )
+        return spec
 
     def _kv_pattern(self, comp: CompressionCostSpec) -> AccessPattern:
         if comp.kv_access != AccessPattern.CONTIGUOUS_KV:

@@ -134,6 +134,9 @@ class MemoryModel:
         self.arch = arch
         self.gpu = gpu
         self.tp = tp
+        # per-call constants of breakdown(), computed once
+        self._weights = arch.weight_bytes() / tp
+        self._fp16_tok = arch.kv_bytes_per_token_per_layer()
 
     def _activation_bytes(self, batch: int, max_len: int) -> float:
         """Workspace for activations of the widest single forward pass."""
@@ -160,9 +163,9 @@ class MemoryModel:
             raise ValueError("batch must be >=1 and kv_len >= 0")
         a = self.arch
         prefill_len = kv_len if prefill_len is None else prefill_len
-        weights = a.weight_bytes() / self.tp
+        weights = self._weights
 
-        fp16_tok = a.kv_bytes_per_token_per_layer()
+        fp16_tok = self._fp16_tok
         resid_tokens = min(kv_len, kv_spec.residual_fp16_tokens)
         stored = kv_len
         if kv_spec.max_tokens is not None:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.hardware.specs import GPUSpec
 
@@ -117,22 +117,37 @@ class Roofline:
         self.comp_eff = dict(COMPUTE_EFFICIENCY)
         if compute_efficiency:
             self.comp_eff.update(compute_efficiency)
+        # the products time_op divides by, computed once (same floats)
+        self._tensor_peak = {
+            unit: gpu.tensor_flops * self.comp_eff[unit]
+            for unit in ("tensor", "tensor_small")
+        }
+        self._vector_peak = gpu.vector_flops * self.comp_eff["vector"]
+        self._bandwidth = {
+            pattern: gpu.mem_bandwidth * eff
+            for pattern, eff in self.bw_eff.items()
+        }
 
-    def _peak_flops(self, unit: str) -> float:
-        if unit in ("tensor", "tensor_small"):
-            return self.gpu.tensor_flops * self.comp_eff[unit]
-        return self.gpu.vector_flops * self.comp_eff["vector"]
+    def _parts(self, op: OpCost) -> Tuple[float, float, float]:
+        """``(compute, memory, overhead)`` seconds of one operator."""
+        compute_s = (
+            op.flops / self._tensor_peak.get(op.compute_unit, self._vector_peak)
+            if op.flops else 0.0
+        )
+        memory_s = op.bytes / self._bandwidth[op.pattern] if op.bytes else 0.0
+        overhead_s = op.launches * self.gpu.kernel_launch_overhead
+        return compute_s, memory_s, overhead_s
+
+    def _seconds(self, op: OpCost) -> float:
+        compute_s, memory_s, overhead_s = self._parts(op)
+        return max(compute_s, memory_s) + overhead_s
 
     def time_op(self, op: OpCost) -> OpTiming:
         """Time one operator."""
-        compute_s = op.flops / self._peak_flops(op.compute_unit) if op.flops else 0.0
-        bw = self.gpu.mem_bandwidth * self.bw_eff[op.pattern]
-        memory_s = op.bytes / bw if op.bytes else 0.0
-        overhead_s = op.launches * self.gpu.kernel_launch_overhead
-        total = max(compute_s, memory_s) + overhead_s
+        compute_s, memory_s, overhead_s = self._parts(op)
         return OpTiming(
             name=op.name,
-            seconds=total,
+            seconds=max(compute_s, memory_s) + overhead_s,
             compute_seconds=compute_s,
             memory_seconds=memory_s,
             overhead_seconds=overhead_s,
@@ -143,13 +158,20 @@ class Roofline:
         return [self.time_op(op) for op in ops]
 
     def total_seconds(self, ops: Iterable[OpCost]) -> float:
-        """Sum of operator times (sequential execution model)."""
-        return sum(t.seconds for t in self.time_ops(ops))
+        """Sum of operator times (sequential execution model).
+
+        Added strictly left to right: builtin ``sum()`` of floats is
+        compensated (Neumaier) from Python 3.12 on, which would make
+        every price depend on the interpreter version.
+        """
+        total = 0.0
+        for op in ops:
+            total += self._seconds(op)
+        return total
 
     def breakdown(self, ops: Iterable[OpCost]) -> Dict[str, float]:
         """Per-operator-name total seconds, for Fig. 3-style analysis."""
         out: Dict[str, float] = {}
         for op in ops:
-            t = self.time_op(op)
-            out[op.name] = out.get(op.name, 0.0) + t.seconds
+            out[op.name] = out.get(op.name, 0.0) + self._seconds(op)
         return out

@@ -135,8 +135,12 @@ class Autoscaler:
         names = self._fleet.active_names(pool)
         if not names:
             return 0.0, 0.0
-        depth = sum(tel.queue_depth.value(instance=n) for n in names)
-        occ = sum(tel.kv_occupancy.value(instance=n) for n in names)
+        # added left to right: builtin sum() of floats is compensated
+        # from Python 3.12 on, and these means steer the scaling
+        depth = occ = 0.0
+        for n in names:
+            depth += tel.queue_depth.value(instance=n)
+            occ += tel.kv_occupancy.value(instance=n)
         return depth / len(names), occ / len(names)
 
     # -- control law ---------------------------------------------------

@@ -271,6 +271,7 @@ class StepMetrics:
         *sequential* left-to-right float summation, which NumPy's
         pairwise ``sum`` would not reproduce.
         """
+        trace._flush()  # the raw columns below must hold every row
         n = len(trace)
         time = trace._time[:n]
         req = trace._req[:n]

@@ -61,8 +61,10 @@ traces stay bit-for-bit identical to an uninstrumented run.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import accumulate
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -153,7 +155,8 @@ class ServerInstance:
         self.prefix_cache = prefix_cache
         self.name = name
         self.token_budget = self._token_budget()
-        self._step_cache: Dict[Tuple[int, int], float] = {}
+        # decode-step price memo: batch -> {mean KV length: seconds}
+        self._step_cache: Dict[int, Dict[int, float]] = {}
         self._loop: Optional[EventLoop] = None
         self._trace: Optional[Trace] = None
         self._telemetry = None
@@ -270,6 +273,11 @@ class ServerInstance:
         # lets FCFS-like policies take the head without a scan
         self._waiting_sorted = True
         self._running: List[ServingRequest] = []
+        # running-batch aggregates, kept by _join/_leave and the decode
+        # steps: the KV sum (prompt + generated over _running) and the
+        # steps until the first member finishes (None: rescan on use)
+        self._kv_sum = 0
+        self._min_left: Optional[int] = None
         self._future: List[float] = []  # arrival times not yet reached
         self._used = 0
         self._wake_at: Optional[float] = None
@@ -568,7 +576,7 @@ class ServerInstance:
             if req.done:
                 self._finish(req, now)
             else:
-                self._running.append(req)
+                self._join(req)
                 if self.admission == "reserve":
                     self._used += need
             self._schedule_wake(now)
@@ -607,7 +615,7 @@ class ServerInstance:
         if req.done:
             self._finish(req, end)
         else:
-            self._running.append(req)
+            self._join(req)
             if self.admission == "reserve":
                 self._used += need
         self._schedule_wake(end)
@@ -668,7 +676,7 @@ class ServerInstance:
                     self._used -= self._request_tokens(req)
                 self._finish(req, end)
             else:
-                self._running.append(req)
+                self._join(req)
         self._decode_turn = True  # decodes get the next slot
         self._schedule_wake(end)
 
@@ -695,16 +703,52 @@ class ServerInstance:
         if self.on_finish is not None:
             self.on_finish(req, at)
 
-    def _decode_kv_len(self, running: List[ServingRequest]) -> int:
-        lens = [r.prompt_len + r.generated for r in running]
-        return int(np.mean(lens)) if lens else 0
+    def _join(self, req: ServingRequest) -> None:
+        """Add ``req`` to the running batch, keeping the aggregates."""
+        self._running.append(req)
+        self._kv_sum += req.prompt_len + req.generated
+        if self._min_left is not None:
+            self._min_left = min(self._min_left, req.response_len - req.generated)
+
+    def _leave(self, i: int) -> ServingRequest:
+        """Remove and return ``_running[i]``, keeping the aggregates."""
+        req = self._running.pop(i)
+        self._kv_sum -= req.prompt_len + req.generated
+        if (
+            self._min_left is not None
+            and req.response_len - req.generated <= self._min_left
+        ):
+            self._min_left = None  # it may have been the only minimum
+        return req
+
+    def _retire_done(self, clock: float) -> bool:
+        """Finish every done member of the running batch, in batch
+        order, each leaving before its FINISH (the completion hook sees
+        the batch without it); returns whether any finished."""
+        done = [i for i, r in enumerate(self._running) if r.done]
+        for gone, i in enumerate(done):
+            r = self._leave(i - gone)  # earlier leavers shifted it down
+            if self.admission == "reserve":
+                self._used -= self._request_tokens(r)
+            self._finish(r, clock)
+        return bool(done)
+
+    def _decode_kv_len(self) -> int:
+        """Mean KV length of the running batch, truncated.
+
+        ``int(sum / batch)`` is exactly ``int(np.mean(lengths))`` for
+        lengths whose sum stays exact in float64.
+        """
+        return int(self._kv_sum / len(self._running))
 
     def _step_seconds(self, batch: int, kv: int) -> float:
-        key = (batch, kv)
-        cached = self._step_cache.get(key)
+        prices = self._step_cache.get(batch)
+        if prices is None:
+            prices = self._step_cache[batch] = {}
+        cached = prices.get(kv)
         if cached is None:
             cached = self.cost_model.decode_step(batch, kv, self.comp).seconds
-            self._step_cache[key] = cached
+            prices[kv] = cached
         return cached
 
     def _decode(self, now: float, limit: Optional[int] = None) -> None:
@@ -720,16 +764,18 @@ class ServerInstance:
         against a state the memory model rejects — ``seconds=inf`` —
         and silently running the clock to infinity.
 
-        Within one burst the batch membership is constant, so the
-        per-step accounting is precomputed on arrays for the whole
-        block (:meth:`_decode_burst`): the first-finisher step from the
-        minimum remaining response, the budget-overflow horizon from
-        the batch's cumulative KV growth, and the trace writes as one
-        columnar append.  Steps that hit a boundary the burst cannot
-        model — budget overflow forcing a preemption, or a cost-model
-        OOM (``seconds=inf``) — fall back to :meth:`_decode_step_slow`,
-        the original single-step logic.  Both paths make identical
-        decisions at identical clocks.
+        Within one burst the batch membership is constant, so the whole
+        block is run at once (:meth:`_decode_burst`): the first-finisher
+        step comes from the running-batch aggregate ``_min_left``, the
+        step prices are consecutive memo entries from the aggregate KV
+        sum (the truncated mean rises by exactly one per step), the
+        clocks are their running sum, the budget-overflow horizon
+        (dynamic admission) comes from the batch's cumulative KV growth,
+        and the trace gets one deferred columnar append.  Steps that hit
+        a boundary the burst cannot model — budget overflow forcing a
+        preemption, or a cost-model OOM (``seconds=inf``) — fall back to
+        :meth:`_decode_step_slow`, the original single-step logic.  Both
+        paths make identical decisions at identical clocks.
         """
         clock = now
         self._decode_turn = False
@@ -760,7 +806,9 @@ class ServerInstance:
         batch = len(running)
         # steps until the earliest finisher leaves the batch (>= 1:
         # running requests are never done)
-        fin = min(r.response_len - r.generated for r in running)
+        if self._min_left is None:
+            self._min_left = min(r.response_len - r.generated for r in running)
+        fin = self._min_left
         k = fin if fin < max_steps else max_steps
         extra = (
             self._prefilling.prefilled if self._prefilling is not None else 0
@@ -785,39 +833,51 @@ class ServerInstance:
                         break
             if k <= 0:
                 return 0, clock, False  # slow path preempts first
-        kv_sum = sum(r.prompt_len + r.generated for r in running)
+        # every member grows one token per step, so the truncated KV
+        # mean rises by exactly one: int((S + j*b) / b) == int(S / b) + j
+        # for exact ints, and step j is priced at (batch, kv0 + j)
+        kv0 = self._decode_kv_len()
         next_arr = self._future[0] if self._future else None
         inf = float("inf")
-        times: List[float] = []
-        kvs: List[int] = []
-        dts: List[float] = []
-        executed = 0
-        stop = False
-        for _ in range(k):
-            # int(sum / batch) is exactly int(np.mean(lengths)) for
-            # lengths whose sum stays exact in float64
-            kv = int(kv_sum / batch)
-            dt = self._step_seconds(batch, kv)
-            if dt == inf:
-                break  # slow path evicts or drops
-            clock += dt
-            kv_sum += batch
-            times.append(clock)
-            kvs.append(kv)
-            dts.append(dt)
-            executed += 1
-            if executed == fin:
-                stop = True  # this step finished someone
-                break
-            if next_arr is not None and next_arr <= clock:
-                stop = True  # a new arrival landed mid-block
-                break
-        if executed == 0:
-            return 0, clock, stop
+        prices = self._step_cache.get(batch, {})
+        dts = list(map(prices.get, range(kv0, kv0 + k)))
+        if None in dts:
+            # price the misses in step order, only as far as the burst
+            # gets (an OOM step or an arrival ends it)
+            end = clock
+            for j, dt in enumerate(dts):
+                if dt is None:
+                    dt = dts[j] = self._step_seconds(batch, kv0 + j)
+                if dt == inf:
+                    break
+                end += dt
+                if next_arr is not None and next_arr <= end:
+                    break
+            del dts[j + 1:]
+        if inf in dts:
+            del dts[dts.index(inf):]  # slow path evicts or drops
+        if not dts:
+            return 0, clock, False
+        # the step clocks, added left to right exactly as clock += dt
+        ends = accumulate(dts, initial=clock)
+        next(ends)
+        times = list(ends)
+        stop = len(times) == fin  # the last step finishes someone
+        if next_arr is not None:
+            cut = bisect_left(times, next_arr)
+            if cut < len(times):
+                # a new arrival landed mid-block: its step is the last
+                del times[cut + 1:], dts[cut + 1:]
+                stop = True
+        executed = len(times)
+        clock = times[-1]
         for r in running:
             r.generated += executed
+        self._kv_sum += batch * executed
+        self._min_left -= executed
         trace, tel = self._trace, self._telemetry
         if trace is not None or tel is not None:
+            kvs = range(kv0, kv0 + executed)
             if self.admission == "dynamic":
                 steps = np.arange(1, executed + 1)
                 used = [
@@ -827,7 +887,7 @@ class ServerInstance:
                     ).sum(axis=1)
                 ]
             else:
-                used = self._used + self._static_used()
+                used = self._used  # no static batch in continuous mode
             # the whole burst lands in one batched call per sink
             if trace is not None:
                 trace.record_decode_steps(
@@ -840,11 +900,7 @@ class ServerInstance:
                     self.token_budget,
                 )
         if executed == fin:
-            for r in [r for r in running if r.done]:
-                running.remove(r)
-                if self.admission == "reserve":
-                    self._used -= self._request_tokens(r)
-                self._finish(r, clock)
+            self._retire_done(clock)
         return executed, clock, stop
 
     def _decode_step_slow(self, clock: float) -> Tuple[float, bool]:
@@ -859,23 +915,21 @@ class ServerInstance:
         if not self._running:
             return clock, True
         batch = len(self._running)
-        kv = self._decode_kv_len(self._running)
+        kv = self._decode_kv_len()
         dt = self._step_seconds(batch, kv)
         while dt == float("inf") and self._evict_victim(clock):
             # memory-model OOM the token budget missed (per-batch
             # workspace overhead): evict one victim and re-price
             preempted = True
             batch = len(self._running)
-            kv = self._decode_kv_len(self._running)
+            kv = self._decode_kv_len()
             dt = self._step_seconds(batch, kv)
         if dt == float("inf"):
             # a request whose decode can never fit: drop the
             # scheduler's victim (the request whose footprint caused
             # the OOM, per policy) rather than spinning the clock to
             # infinity
-            victim = self._running.pop(
-                self.scheduler.victim(self._running, clock)
-            )
+            victim = self._leave(self.scheduler.victim(self._running, clock))
             if self.admission == "reserve":
                 self._used -= self._request_tokens(victim)
             victim.rejected = True
@@ -889,20 +943,16 @@ class ServerInstance:
         clock += dt
         for r in self._running:
             r.generated += 1
+        self._kv_sum += batch
+        if self._min_left is not None:
+            self._min_left -= 1
         self._record(
             clock, EventType.DECODE_STEP,
             batch=batch, kv=kv, seconds=dt,
             used_tokens=self.used_tokens, token_budget=self.token_budget,
             live=len(self._running),
         )
-        changed = preempted
-        for r in [r for r in self._running if r.done]:
-            self._running.remove(r)
-            if self.admission == "reserve":
-                self._used -= self._request_tokens(r)
-            self._finish(r, clock)
-            changed = True
-        if changed:
+        if self._retire_done(clock) or preempted:
             return clock, True  # membership changed: re-price next wake
         if self._future and self._future[0] <= clock:
             return clock, True  # a new arrival landed mid-block
@@ -937,9 +987,7 @@ class ServerInstance:
             victim = self._prefilling
             self._prefilling = None
         elif len(self._running) > 1:
-            victim = self._running.pop(
-                self.scheduler.victim(self._running, clock)
-            )
+            victim = self._leave(self.scheduler.victim(self._running, clock))
         else:
             return False
         if self.admission == "reserve":

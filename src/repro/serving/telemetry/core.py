@@ -40,6 +40,15 @@ from repro.serving.telemetry.registry import (
 #: dashboard time-series key: (instance name, metric name)
 SeriesKey = Tuple[str, str]
 
+# the kinds on_event tests first, and every kind's label value, resolved
+# once: on CPython 3.11 an enum member or ``.value`` lookup costs
+# 0.15-0.25 us (x86 VM), and on_event made several per event
+_DECODE_STEP, _ADMIT, _PREFILL, _PREFILL_CHUNK, _FINISH = (
+    EventType.DECODE_STEP, EventType.ADMIT, EventType.PREFILL,
+    EventType.PREFILL_CHUNK, EventType.FINISH,
+)
+_KIND_VALUE = {kind: kind.value for kind in EventType}
+
 
 class _InstHot:
     """Per-instance pre-resolved write targets for the decode fold.
@@ -51,9 +60,9 @@ class _InstHot:
     """
 
     __slots__ = (
-        "ik", "buckets", "step", "batch_values", "gen_values",
+        "ik", "buckets", "bounds", "step", "batch_values", "gen_values",
         "kv_values", "kv_pts", "ev_decode", "qd_values", "run_values",
-        "qd_pts", "run_pts",
+        "qd_pts", "run_pts", "trace_values",
     )
 
     def __init__(self, tel: "Telemetry", inst: str) -> None:
@@ -64,6 +73,8 @@ class _InstHot:
         self.qd_pts = tel.series.setdefault((inst, "queue_depth"), [])
         self.run_pts = tel.series.setdefault((inst, "running"), [])
         self.buckets = tel.step_seconds.buckets
+        # bucket i holds bounds[i] < x <= bounds[i + 1]
+        self.bounds = (float("-inf"),) + self.buckets + (float("inf"),)
         series = tel.step_seconds._series
         s = series.get(self.ik)
         if s is None:
@@ -73,6 +84,10 @@ class _InstHot:
         self.gen_values = tel.generated_tokens._values
         self.kv_values = tel.kv_occupancy._values
         self.kv_pts = tel.series.setdefault((inst, "kv_occupancy"), [])
+        self.trace_values = (
+            tel.trace_events._values, tel.trace_capacity._values,
+            tel.trace_buffer_bytes._values, tel.trace_dropped._values,
+        )
 
 
 class Telemetry:
@@ -290,7 +305,7 @@ class Telemetry:
         inst = e.instance
         d = e.data
         k = e.kind
-        if k is EventType.DECODE_STEP:
+        if k is _DECODE_STEP:
             batch, live = d["batch"], d["live"]
             self.on_decode_steps(
                 inst, (e.time,), batch, (d["kv"],), (d["seconds"],),
@@ -302,18 +317,18 @@ class Telemetry:
                 self._hot[inst].gen_values[(inst,)] += live - batch
             return
         ev = self._ev_values
-        kk = (inst, k.value)
+        kk = (inst, _KIND_VALUE[k])
         ev[kk] = ev.get(kk, 0.0) + 1.0
         ik = (inst,)
-        if k is EventType.ADMIT:
+        if k is _ADMIT:
             since = d.get("queued_at", d.get("arrival"))
             if since is not None:
                 self.queue_delay.observe_key(ik, e.time - since)
-        elif k is EventType.PREFILL or k is EventType.PREFILL_CHUNK:
+        elif k is _PREFILL or k is _PREFILL_CHUNK:
             seconds = d.get("seconds")
             if seconds is not None:
                 self.prefill_seconds.observe_key(ik, seconds)
-        elif k is EventType.FINISH:
+        elif k is _FINISH:
             if "arrival" in d and "first_token" in d:
                 self.ttft.observe_key(ik, d["first_token"] - d["arrival"])
             if "first_token" in d and d.get("generated", 0) > 1:
@@ -383,9 +398,19 @@ class Telemetry:
         s = hot.step
         counts = s.counts
         buckets = hot.buckets
+        # a burst's steps cost about the same: bisect only for steps
+        # outside the first step's bucket
+        first = bisect_left(buckets, seconds[0])
+        low, high = hot.bounds[first], hot.bounds[first + 1]
+        same = k
+        total = s.sum
         for sec in seconds:
-            counts[bisect_left(buckets, sec)] += 1
-            s.sum += sec
+            total += sec  # left to right, step by step
+            if not low < sec <= high:
+                counts[bisect_left(buckets, sec)] += 1
+                same -= 1
+        counts[first] += same
+        s.sum = total
         s.count += k
         ik = hot.ik
         hot.batch_values[ik] = float(batch)
@@ -430,11 +455,12 @@ class Telemetry:
             pts[:] = pts[::2]
         trace = inst._trace
         if trace is not None:
-            s = trace.memory_stats()
-            self.trace_events._values[ik] = float(s["events"])
-            self.trace_capacity._values[ik] = float(s["capacity"])
-            self.trace_buffer_bytes._values[ik] = float(s["buffer_bytes"])
-            self.trace_dropped._values[ik] = float(s["dropped_events"])
+            # Trace.memory_stats() fields, read without building its dict
+            events, capacity, nbytes, dropped = hot.trace_values
+            events[ik] = float(trace._n)
+            capacity[ik] = float(trace._cap)
+            nbytes[ik] = float(trace._buffer_bytes)
+            dropped[ik] = float(trace.dropped_events)
 
     def on_loop(self, now: float, pending: int, fired: int) -> None:
         """Event-loop health; series sampled every 16th event."""

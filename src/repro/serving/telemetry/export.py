@@ -102,6 +102,7 @@ def _iter_jsonl(trace: Trace) -> Iterator[str]:
     unboxed to plain Python lists once, payload keys come from the
     interned signatures, and each line reuses one dict.
     """
+    trace._flush()
     n = len(trace)
     kind_names = [k.value for k in KINDS]
     times = trace._time[:n].tolist()

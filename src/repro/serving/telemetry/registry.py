@@ -113,8 +113,12 @@ class Counter(Metric):
         return self._values.get(self._key(labels), 0.0)
 
     def total(self) -> float:
-        """Sum over every labeled series."""
-        return sum(self._values.values())
+        """Sum over every labeled series, added left to right (builtin
+        ``sum()`` of floats is compensated from Python 3.12 on)."""
+        total = 0.0
+        for v in self._values.values():
+            total += v
+        return total
 
     def series(self) -> List[Tuple[Dict[str, str], float]]:
         return [

@@ -73,6 +73,13 @@ The buffer grows geometrically (capacity doubles when full); passing
 trace memory.  :meth:`Trace.memory_stats` reports
 events/capacity/bytes/drops for the telemetry memory gauges.
 
+Decode bursts (:meth:`Trace.record_decode_steps`, the simulator's
+hot-path append) reserve their rows at once but queue their column
+writes; the queue is written in one fancy-indexed assignment per
+column before any read, before a ring shift, and whenever 4096 rows
+are waiting.  Lengths, memory stats, growth and drops are those of an
+immediate write, and no reader can tell the difference.
+
 The object API is a set of thin lazy views: ``trace.events``
 indexes and iterates like a list (each row materializes one
 :class:`TraceEvent` on demand, cached), and :meth:`Trace.of_kind` /
@@ -195,6 +202,28 @@ class _Column:
         self.tags[n - drop:n] = _ABSENT
 
 
+class _BurstQueue:
+    """``DECODE_STEP`` bursts whose rows are reserved but not yet
+    written: per burst its first row, length, instance id, batch and
+    token budget; per row its time, KV length, seconds and used
+    tokens."""
+
+    __slots__ = ("rows", "first", "length", "inst", "batch", "budget",
+                 "time", "kv", "seconds", "used")
+
+    def __init__(self) -> None:
+        self.rows = 0
+        self.first: List[int] = []
+        self.length: List[int] = []
+        self.inst: List[int] = []
+        self.batch: List[int] = []
+        self.budget: List[int] = []
+        self.time: List[float] = []
+        self.kv: List[int] = []
+        self.seconds: List[float] = []
+        self.used: List[int] = []
+
+
 class _EventsView(Sequence):
     """List-like lazy view over a columnar trace's events."""
 
@@ -274,6 +303,11 @@ class Trace:
         self._sig_ids: Dict[Tuple[str, ...], int] = {(): 0}
         self._cols: Dict[str, _Column] = {}
         self._obj: Dict[Tuple[int, str], object] = {}
+        # record_decode_steps: the DECODE_STEP signature and its columns
+        # (interned on the first burst) and the bursts not yet written
+        self._decode_sig = 0
+        self._decode_cols: Tuple[_Column, ...] = ()
+        self._queue = _BurstQueue()
         # lazy caches, invalidated by version bumps
         self._version = 0
         self._mat: Dict[int, TraceEvent] = {}
@@ -307,6 +341,7 @@ class Trace:
             drop = max(need - self.max_events, self.max_events // 4)
             drop = min(drop, self._n)
             if drop:
+                self._flush()  # queued bursts hold pre-shift rows
                 n = self._n
                 for arr in (self._time, self._kind, self._req,
                             self._inst, self._sig):
@@ -439,6 +474,9 @@ class Trace:
         "batch", "kv", "seconds", "used_tokens", "token_budget", "live",
     )
 
+    #: queued burst rows that force a flush (bounds the queue's memory)
+    _FLUSH_ROWS = 4096
+
     def record_decode_steps(
         self,
         instance: str,
@@ -449,42 +487,78 @@ class Trace:
         used_tokens,
         token_budget: int,
     ) -> None:
-        """Append a burst of ``DECODE_STEP`` events in one columnar write.
+        """Append a burst of ``DECODE_STEP`` events.
 
         ``used_tokens`` may be a scalar (reserve admission: occupancy is
         constant across the burst) or a per-step sequence (dynamic
         admission).  ``live`` equals ``batch`` — continuous batching
-        records steps only while membership is fixed.  This is the
-        simulator's hot-path append: a whole decode block lands as a
-        handful of slice assignments instead of per-event dicts.
+        records steps only while membership is fixed.
+
+        This is the simulator's hot-path append, so the column writes
+        are deferred: the rows are reserved (and the instance, the
+        signature and its columns interned) at once, so ``len``,
+        :meth:`memory_stats`, growth and ring drops happen exactly as
+        for an immediate write, while the values wait in a queue that
+        :meth:`_flush` writes with one fancy-indexed assignment per
+        column — before any read, before a ring shift, and whenever
+        :attr:`_FLUSH_ROWS` rows are queued.  The sequences are copied
+        into the queue, so the caller may reuse them.
         """
         k = len(times)
         if k == 0:
             return
-        row = self._reserve(k)
-        end = row + k
-        self._time[row:end] = times
-        self._kind[row:end] = _KIND_CODE[EventType.DECODE_STEP]
-        self._req[row:end] = 0
-        self._inst[row:end] = (
+        if not self._decode_cols:
+            self._decode_sig = self._signature(self._DECODE_KEYS)
+            self._decode_cols = tuple(
+                self._column(key) for key in self._DECODE_KEYS
+            )
+        inst = (
             self._inst_ids.get(instance)
             if instance in self._inst_ids
             else self._intern(self._inst_names, self._inst_ids, instance)
         )
-        self._sig[row:end] = self._signature(self._DECODE_KEYS)
-        for key, value in (
-            ("batch", batch),
-            ("kv", kvs),
-            ("used_tokens", used_tokens),
-            ("token_budget", token_budget),
-            ("live", batch),
-        ):
-            col = self._column(key)
-            col.values[row:end] = value
-            col.tags[row:end] = _INT
-        col = self._column("seconds")
-        col.values[row:end] = seconds
-        col.tags[row:end] = _FLOAT
+        row = self._reserve(k)  # may flush (ring shift): queue after it
+        q = self._queue
+        q.first.append(row)
+        q.length.append(k)
+        q.inst.append(inst)
+        q.batch.append(batch)
+        q.budget.append(token_budget)
+        q.time.extend(times)
+        q.kv.extend(kvs)
+        q.seconds.extend(seconds)
+        if isinstance(used_tokens, (int, float, np.number)):
+            q.used.extend([used_tokens] * k)
+        else:
+            q.used.extend(used_tokens)
+        q.rows += k
+        if q.rows >= self._FLUSH_ROWS:
+            self._flush()
+
+    def _flush(self) -> None:
+        """Write every queued ``record_decode_steps`` burst into the
+        columns: one fancy-indexed assignment per column."""
+        q = self._queue
+        if not q.rows:
+            return
+        self._queue = _BurstQueue()
+        length = np.array(q.length)
+        # row of each queued value: its burst's first row plus its
+        # offset inside the burst
+        offset = np.cumsum(length) - length
+        rows = np.repeat(np.array(q.first) - offset, length) + np.arange(q.rows)
+        self._time[rows] = q.time
+        self._kind[rows] = _KIND_CODE[EventType.DECODE_STEP]
+        self._req[rows] = 0
+        self._inst[rows] = np.repeat(q.inst, length)
+        self._sig[rows] = self._decode_sig
+        batch = np.repeat(q.batch, length)
+        values = (
+            batch, q.kv, q.seconds, q.used, np.repeat(q.budget, length), batch,
+        )
+        for key, col, value in zip(self._DECODE_KEYS, self._decode_cols, values):
+            col.values[rows] = value
+            col.tags[rows] = _FLOAT if key == "seconds" else _INT
 
     # ------------------------------------------------------------------
     # lazy object views
@@ -492,6 +566,7 @@ class Trace:
     def _event(self, row: int) -> TraceEvent:
         ev = self._mat.get(row)
         if ev is None:
+            self._flush()
             data: Dict[str, float] = {}
             for key in self._sigs[self._sig[row]]:
                 col = self._cols[key]
@@ -526,6 +601,7 @@ class Trace:
         cached = self._rows_cache.get(kind)
         if cached is not None and cached[0] == self._version:
             return cached[1]
+        self._flush()
         rows = np.nonzero(self._kind[: self._n] == _KIND_CODE[kind])[0]
         self._rows_cache[kind] = (self._version, rows)
         return rows
@@ -536,6 +612,7 @@ class Trace:
         col = self._cols.get(key)
         if col is None:
             return None, None
+        self._flush()
         return col.values[: self._n], col.tags[: self._n] != _ABSENT
 
     def of_kind(self, kind: EventType) -> List[TraceEvent]:
@@ -562,6 +639,7 @@ class Trace:
         if idx is None:
             events: List[TraceEvent] = []
         else:
+            self._flush()
             rows = np.nonzero(self._req[: self._n] == idx)[0]
             events = [self._event(int(i)) for i in rows]
         self._req_cache[request_id] = (self._version, events)
@@ -573,6 +651,7 @@ class Trace:
 
     def counts(self) -> Dict[str, int]:
         """Event-kind histogram (kinds with at least one event)."""
+        self._flush()
         hist = np.bincount(self._kind[: self._n], minlength=len(KINDS))
         return {
             kind.value: int(hist[code])
@@ -599,7 +678,8 @@ class Trace:
         """Ring-buffer residency for the telemetry memory gauges.
 
         O(1): ``buffer_bytes`` is maintained on growth, not summed here
-        — the gauges sample this on every instance wake-up.
+        — the gauges sample these counters on every instance wake-up
+        (``Telemetry.sample_instance`` reads them without this dict).
         """
         return {
             "events": self._n,

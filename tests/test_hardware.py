@@ -1,8 +1,12 @@
 """Tests for GPU specs, roofline timing, memory model and interconnect."""
 
+import math
+
 import numpy as np
 import pytest
 
+from repro.compression import NoCompression, create
+from repro.engines import LMDEPLOY, ServingCostModel
 from repro.hardware import (
     A6000,
     H800,
@@ -98,6 +102,25 @@ class TestRoofline:
         breakdown = r.breakdown(ops)
         assert set(breakdown) == {"a", "b"}
         assert sum(breakdown.values()) == pytest.approx(total)
+
+    @pytest.mark.parametrize("algo,batch,kv", [
+        ("fp16", 1, 900), ("kivi-4", 1, 803), ("gear-4", 1, 609),
+        ("h2o-512", 8, 512), ("stream-512", 1, 512),
+    ])
+    def test_total_seconds_adds_left_to_right(self, algo, batch, kv):
+        """Prices must not depend on the interpreter: builtin ``sum()``
+        of floats is compensated from Python 3.12 on, and rounds these
+        real decode-step op lists differently from left-to-right
+        addition (the order every recorded price was made in)."""
+        cm = ServingCostModel(LLAMA_7B, A6000, LMDEPLOY)
+        comp = (NoCompression() if algo == "fp16" else create(algo)).cost_spec()
+        ops = cm._decode_ops(batch, kv, comp)
+        times = [cm.roofline.time_op(op).seconds for op in ops]
+        left_to_right = 0.0
+        for t in times:
+            left_to_right += t
+        assert math.fsum(times) != left_to_right  # a rounding-sensitive list
+        assert cm.roofline.total_seconds(ops) == left_to_right
 
     def test_scaled_op(self):
         op = OpCost("x", flops=10.0, bytes=20.0, launches=3)

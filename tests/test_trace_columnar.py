@@ -1,12 +1,21 @@
 """Unit coverage for the columnar Trace internals: ring-buffer growth,
 bounded-mode drops, exact payload-type round-trips, the lazy events
-view, batched decode-step recording, and the ``render_timeline`` edge
-contract (``limit=0``, negative limits, empty traces)."""
+view, batched decode-step recording (and that its deferred column
+writes are invisible to every reader), and the ``render_timeline``
+edge contract (``limit=0``, negative limits, empty traces)."""
 
 import numpy as np
 import pytest
 
-from repro.serving import EventType, Trace, TraceEvent
+from repro.serving import (
+    EventType,
+    StepMetrics,
+    Trace,
+    TraceEvent,
+    dump_jsonl,
+    queue_delays,
+    request_latencies,
+)
 
 
 def fill(trace, n, kind=EventType.DECODE_STEP):
@@ -224,6 +233,149 @@ class TestRecordDecodeSteps:
         )
         assert len(t) == n
         assert t.events[-1].data["kv"] == n - 1
+
+
+def _flat(event):
+    """An event as comparable plain data, payload value types included."""
+    return (
+        event.time, event.kind, event.request_id, event.instance,
+        [(k, type(v), v) for k, v in event.data.items()],
+    )
+
+
+def _script(seed, n_ops=500):
+    """A seeded interleaving of decode bursts (scalar and per-step
+    ``used_tokens``), single-event writes (ADMIT, PREFILL, FINISH) and
+    reads."""
+    rng = np.random.default_rng(seed)
+    ops = []
+    clock = 0.0
+    waiting, running, n_req = [], [], 0
+    for _ in range(n_ops):
+        u = rng.random()
+        if u < 0.45:
+            k = int(rng.integers(1, 9))
+            secs = [float(s) for s in rng.uniform(0.01, 0.05, size=k)]
+            times = []
+            for s in secs:
+                clock += s
+                times.append(clock)
+            kv0 = int(rng.integers(256, 4096))
+            if rng.random() < 0.5:
+                used = int(rng.integers(1000, 60_000))
+            else:
+                used = [int(x) for x in rng.integers(1000, 60_000, size=k)]
+            ops.append(("burst", (
+                f"i{int(rng.integers(2))}", times, int(rng.integers(1, 65)),
+                list(range(kv0, kv0 + k)), secs, used, 60_000,
+            )))
+        elif u < 0.75:
+            clock += 0.001
+            if running and rng.random() < 0.4:
+                rid, arrival, first = running.pop(int(rng.integers(len(running))))
+                data = {"arrival": arrival, "first_token": first,
+                        "generated": int(rng.integers(1, 500))}
+                ops.append(("fields", (clock, EventType.FINISH, rid, "i0", data)))
+            elif waiting and rng.random() < 0.5:
+                rid, arrival = waiting.pop(0)
+                ops.append(("fields", (clock, EventType.ADMIT, rid, "i0",
+                                       {"arrival": arrival, "queued_at": arrival})))
+                ops.append(("fields", (clock, EventType.PREFILL, rid, "i0",
+                                       {"seconds": 0.05, "prompt": 512})))
+                running.append((rid, arrival, clock + 0.05))
+            else:
+                waiting.append((f"r{n_req}", clock))
+                n_req += 1
+        else:
+            ops.append(("read", int(rng.integers(1 << 30))))
+    return ops
+
+
+def _readers(tmp_path):
+    """Every trace reader, each mapped to comparable plain data."""
+
+    def events(t, arg):
+        return [_flat(t.events[i]) for i in {0, arg % len(t), -1}] if len(t) else []
+
+    def of_kind(t, arg):
+        kind = (EventType.DECODE_STEP, EventType.FINISH)[arg % 2]
+        return [_flat(e) for e in t.of_kind(kind)]
+
+    def for_request(t, arg):
+        ids = t.request_ids()[-3:]  # the ones with events near the tail
+        return [_flat(e) for e in t.for_request(ids[arg % len(ids)])] if ids else []
+
+    def rows_of(t, arg):
+        return t.rows_of((EventType.DECODE_STEP, EventType.ADMIT)[arg % 2]).tolist()
+
+    def payload(t, arg):
+        keys = ("kv", "seconds", "used_tokens", "token_budget", "live", "arrival")
+        values, present = t.payload(keys[arg % len(keys)])
+        return None if values is None else (values.tolist(), present.tolist())
+
+    def dumped(t, arg):
+        path = tmp_path / "trace.jsonl"
+        dump_jsonl(t, path)
+        return path.read_bytes()
+
+    return [
+        events, of_kind, for_request, rows_of, payload,
+        lambda t, arg: t.counts(),
+        lambda t, arg: t.render_timeline(),
+        dumped,
+        lambda t, arg: StepMetrics.from_trace(t).as_dict(),
+        lambda t, arg: request_latencies(t),
+        lambda t, arg: queue_delays(t),
+    ]
+
+
+class TestDeferredBurstWrites:
+    """``record_decode_steps`` queues its column writes; no reader may
+    tell the difference from a trace flushed after every write."""
+
+    @pytest.mark.parametrize("flush_rows", [None, 16])
+    @pytest.mark.parametrize("max_events", [None, 96])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_readers_match_eager_twin(
+        self, tmp_path, monkeypatch, seed, max_events, flush_rows
+    ):
+        if flush_rows is not None:
+            monkeypatch.setattr(Trace, "_FLUSH_ROWS", flush_rows)
+        readers = _readers(tmp_path)
+        lazy = Trace(capacity=8, max_events=max_events)
+        eager = Trace(capacity=8, max_events=max_events)
+        queued = 0
+        reads = 0
+        for op, args in _script(seed):
+            if op == "read":
+                read = readers[args % len(readers)]
+                assert read(lazy, args) == read(eager, args)
+                reads += 1
+                continue
+            for t in (lazy, eager):
+                if op == "burst":
+                    t.record_decode_steps(*args)
+                else:
+                    t.record_fields(*args)
+            eager._flush()  # every write lands at once
+            queued = max(queued, lazy._queue.rows)
+            assert lazy.memory_stats() == eager.memory_stats()
+        assert queued and reads >= len(readers)
+        if max_events is not None:
+            assert lazy.dropped_events > 0
+        for read in readers:
+            assert read(lazy, 0) == read(eager, 0)
+
+    def test_queue_is_bounded(self):
+        lazy, eager = Trace(), Trace()
+        for j in range(1200):
+            burst = ("i0", [j + 0.1 * s for s in range(8)], 4,
+                     list(range(j, j + 8)), [0.1] * 8, 512 + j, 60_000)
+            lazy.record_decode_steps(*burst)
+            eager.record_decode_steps(*burst)
+            eager._flush()
+            assert lazy._queue.rows < Trace._FLUSH_ROWS
+        assert [_flat(e) for e in lazy.events] == [_flat(e) for e in eager.events]
 
 
 class TestMemoryStats:
