@@ -133,7 +133,13 @@ class Compressor(abc.ABC):
         k_pos: np.ndarray,
         cache: LayerCache,
     ) -> None:
-        """Consume an attention-probability chunk (only if ``needs_probs``)."""
+        """Consume an attention-probability chunk (only if ``needs_probs``).
+
+        ``probs`` is a view of the session's scratch workspace, valid
+        only during this call: the model overwrites it with the next
+        chunk's scores and the MLP's intermediates.  Reduce it (or copy
+        it) before returning.
+        """
 
     @abc.abstractmethod
     def compress(self, layer: int, cache: LayerCache, phase: str) -> None:

@@ -39,10 +39,15 @@ def _affine_roundtrip(
     step = span / levels
     valid = step > 0  # guards both span == 0 and denormal underflow
     delta = np.where(valid, step, 1.0)
-    q = np.rint((x - lo) / delta)
-    q = np.clip(q, 0, levels)
-    out = q * delta + lo
-    return np.where(valid, out, lo)
+    # clip(rint((x - lo) / delta), 0, levels) * delta + lo, in one buffer
+    out = np.subtract(x, lo)
+    out /= delta
+    np.rint(out, out=out)
+    np.clip(out, 0, levels, out=out)
+    out *= delta
+    out += lo
+    np.copyto(out, lo, where=~valid)
+    return out
 
 
 def quant_dequant_per_channel(x: np.ndarray, bits: int) -> np.ndarray:

@@ -60,9 +60,14 @@ class HeadBias:
             return HeadBias("recency", recency_bias)
         return HeadBias("none", 0.0)
 
+    @property
+    def active(self) -> bool:
+        """Whether the bias is nonzero anywhere (else adding it is a no-op)."""
+        return self.kind != "none" and self.strength != 0.0
+
     def matrix(self, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
         """Bias matrix of shape (len(q_pos), len(k_pos))."""
-        if self.kind == "none" or self.strength == 0.0:
+        if not self.active:
             return np.zeros((q_pos.size, k_pos.size), dtype=np.float32)
         if self.kind == "prev_token":
             dist = np.abs((q_pos[:, None] - 1) - k_pos[None, :])
@@ -86,18 +91,48 @@ def expand_kv(x: np.ndarray, gqa_group: int) -> np.ndarray:
 
 def build_score_mask(
     q_pos: np.ndarray, k_pos: np.ndarray, keep: Optional[np.ndarray]
-) -> np.ndarray:
-    """Additive mask combining causality and eviction.
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
+    """Additive masks for causality and eviction, as two addends.
 
     ``keep`` is (batch, kv_heads, n_keys) boolean (True = retained) or
-    None.  Returns (batch|1, kv_heads|1, n_q, n_keys) additive mask.
+    None.  Returns ``(causal, evict)``: ``causal`` is (n_q, n_keys) and
+    None when no key lies in any query's future (always so in decode);
+    ``evict`` is (batch, kv_heads, 1, n_keys) and None when every key is
+    retained.  Adding both to a score equals adding their sum except
+    where a key is both in the future and evicted; such a score lands
+    near ``-2e9`` either way and exponentiates to exactly 0 (see
+    DESIGN.md, "Model hot path").
     """
-    causal = k_pos[None, :] <= q_pos[:, None]
-    mask = np.where(causal, np.float32(0.0), NEG_INF)[None, None]
-    if keep is not None:
-        evict = np.where(keep[:, :, None, :], np.float32(0.0), NEG_INF)
-        mask = mask + evict
-    return mask
+    causal = evict = None
+    future = k_pos[None, :] > q_pos[:, None]
+    if future.any():
+        causal = np.where(future, NEG_INF, np.float32(0.0))
+    if keep is not None and not keep.all():
+        evict = np.where(keep, np.float32(0.0), NEG_INF)[:, :, None, :]
+    return causal, evict
+
+
+def _bias_and_mask(
+    scores: np.ndarray,
+    q_pos: np.ndarray,
+    k_pos: np.ndarray,
+    biases: List[HeadBias],
+    keep: Optional[np.ndarray],
+    gqa_group: int,
+) -> None:
+    """Add the head biases and both masks to C-contiguous ``scores``
+    (b, h, sq, n) in place.  The eviction mask is added through a
+    (b, kv_heads, group, sq, n) view, never repeated per query head."""
+    for hi, bias in enumerate(biases):
+        if bias.active:
+            scores[:, hi] += bias.matrix(q_pos, k_pos)
+    causal, evict = build_score_mask(q_pos, k_pos, keep)
+    if causal is not None:
+        scores += causal
+    if evict is not None:
+        b, h, sq, n = scores.shape
+        grouped = scores.reshape(b, h // gqa_group, gqa_group, sq, n)
+        grouped += evict[:, :, None]
 
 
 def naive_attention(
@@ -109,28 +144,23 @@ def naive_attention(
     biases: List[HeadBias],
     keep: Optional[np.ndarray] = None,
     gqa_group: int = 1,
+    out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Multi-pass attention returning (output, probabilities).
 
     Shapes: q (b, h, sq, dh); k, v (b, kvh, n, dh); output (b, h, sq, dh);
-    probabilities (b, h, sq, n).
+    probabilities (b, h, sq, n).  The scores are computed in ``out``
+    (C-contiguous (b, h, sq, n) float32) when given, and the returned
+    probabilities are that buffer.
     """
     b, h, sq, dh = q.shape
     kx = expand_kv(k, gqa_group)
     vx = expand_kv(v, gqa_group)
-    scores = q @ np.transpose(kx, (0, 1, 3, 2))
+    scores = np.matmul(q, np.transpose(kx, (0, 1, 3, 2)), out=out)
     scores *= 1.0 / float(np.sqrt(dh))  # python float: no f64 promotion
-    for hi, bias in enumerate(biases):
-        bm = bias.matrix(q_pos, k_pos)
-        if bm.any():
-            scores[:, hi] += bm
-    mask = build_score_mask(q_pos, k_pos, keep)
-    if mask.shape[1] not in (1, h):
-        mask = np.repeat(mask, gqa_group, axis=1)
-    scores += mask
+    _bias_and_mask(scores, q_pos, k_pos, biases, keep, gqa_group)
     probs = softmax_inplace(scores, axis=-1)
-    out = probs @ vx
-    return out, probs
+    return probs @ vx, probs
 
 
 def flash_attention(
@@ -158,21 +188,16 @@ def flash_attention(
     l = np.zeros((b, h, sq, 1))
     acc = np.zeros((b, h, sq, dh))
 
-    full_mask = build_score_mask(q_pos, k_pos, keep)
-    if full_mask.shape[1] not in (1, h):
-        full_mask = np.repeat(full_mask, gqa_group, axis=1)
-
     for start in range(0, n, tile):
         stop = min(start + tile, n)
         kt = kx[:, :, start:stop]
         vt = vx[:, :, start:stop]
         s = q @ np.transpose(kt, (0, 1, 3, 2))
         s *= 1.0 / float(np.sqrt(dh))
-        for hi, bias in enumerate(biases):
-            bm = bias.matrix(q_pos, k_pos[start:stop])
-            if bm.any():
-                s[:, hi] += bm
-        s = s + full_mask[:, :, :, start:stop]
+        kt_keep = None if keep is None else keep[:, :, start:stop]
+        _bias_and_mask(
+            s, q_pos, k_pos[start:stop], biases, kt_keep, gqa_group
+        )
 
         m_new = np.maximum(m, np.max(s, axis=-1, keepdims=True))
         # guard: a fully masked tile contributes nothing
@@ -185,4 +210,5 @@ def flash_attention(
         m = m_new
 
     l = np.where(l == 0.0, 1.0, l)
-    return acc / l
+    # the recurrence runs in float64; the result keeps the input dtype
+    return (acc / l).astype(q.dtype)

@@ -117,7 +117,12 @@ class LayerCache:
 
 
 class SessionCache:
-    """Per-layer caches for one generation session."""
+    """Per-layer caches for one generation session, plus the session's
+    float32 scratch buffer (:meth:`workspace`).
+
+    ``capacity`` pre-sizes every layer for that many positions (a caller
+    that knows prompt plus response length avoids the doubling copies).
+    """
 
     def __init__(
         self,
@@ -126,12 +131,26 @@ class SessionCache:
         n_kv_heads: int,
         head_dim: int,
         seq_start: np.ndarray,
+        capacity: int = 64,
     ) -> None:
         self.layers: List[LayerCache] = [
-            LayerCache(batch, n_kv_heads, head_dim, seq_start)
+            LayerCache(batch, n_kv_heads, head_dim, seq_start, capacity)
             for _ in range(n_layers)
         ]
         self.seq_start = seq_start
+        self._scratch = np.empty(0, dtype=np.float32)
+
+    def workspace(self, size: int) -> np.ndarray:
+        """The first ``size`` elements of the session's float32 scratch
+        buffer, which grows on demand and never shrinks.
+
+        The model computes attention scores and MLP intermediates here
+        instead of in fresh temporaries.  Contents are only valid until
+        the next call: each caller overwrites what the previous one left.
+        """
+        if self._scratch.size < size:
+            self._scratch = np.empty(size, dtype=np.float32)
+        return self._scratch[:size]
 
     def __getitem__(self, idx: int) -> LayerCache:
         return self.layers[idx]

@@ -72,7 +72,7 @@ def generate(
     tok = model.tokenizer
     tokens, seq_start = left_pad(prompts, tok.special.pad)
     batch = tokens.shape[0]
-    cache = model.new_cache(batch, seq_start)
+    cache = model.new_cache(batch, seq_start, tokens.shape[1] + max_new_tokens)
     if compressor is not None:
         compressor.begin(batch, model.config, seq_start)
     if sampler is None:

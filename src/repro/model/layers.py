@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -12,11 +13,6 @@ def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray
     """Root-mean-square LayerNorm (LLaMA-style, no mean subtraction)."""
     rms = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
     return x / rms * weight
-
-
-def silu(x: np.ndarray) -> np.ndarray:
-    """SiLU activation ``x * sigmoid(x)``."""
-    return x / (1.0 + np.exp(-x))
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -43,9 +39,32 @@ class MLPWeights:
     w_up: np.ndarray    # (d_model, d_ff)
     w_down: np.ndarray  # (d_ff, d_model)
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """Apply the MLP to ``x`` of shape (..., d_model)."""
-        return (silu(x @ self.w_gate) * (x @ self.w_up)) @ self.w_down
+    def forward(
+        self, x: np.ndarray, workspace: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Apply the MLP to ``x`` of shape (..., d_model).
+
+        The gate, up and SiLU intermediates occupy three disjoint slices
+        of ``workspace``, a vector of at least ``3 * rows * d_ff``
+        elements of the result dtype (allocated when None).  SiLU is
+        ``g / (1 + exp(-g))``, evaluated with the same ufuncs in the same
+        order as the expression ``silu(x @ w_gate) * (x @ w_up)``.
+        """
+        shape = x.shape[:-1] + self.w_gate.shape[1:]
+        size = math.prod(shape)
+        if workspace is None:
+            workspace = np.empty(3 * size, np.result_type(x, self.w_gate))
+        gate, up, act = (
+            workspace[i * size:(i + 1) * size].reshape(shape) for i in range(3)
+        )
+        np.matmul(x, self.w_gate, out=gate)
+        np.matmul(x, self.w_up, out=up)
+        np.negative(gate, out=act)
+        np.exp(act, out=act)
+        act += 1.0
+        np.divide(gate, act, out=gate)
+        gate *= up
+        return gate @ self.w_down
 
 
 @dataclass

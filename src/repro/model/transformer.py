@@ -16,6 +16,7 @@ FlashAttention incompatibility discussed in the paper (Section 3.1.2).
 
 from __future__ import annotations
 
+import math
 from typing import List, Optional
 
 import numpy as np
@@ -66,11 +67,14 @@ class FunctionalTransformer:
         self.prefill_block = prefill_block
 
     # ------------------------------------------------------------------
-    def new_cache(self, batch: int, seq_start: np.ndarray) -> SessionCache:
-        """Fresh session cache for ``batch`` left-padded sequences."""
+    def new_cache(
+        self, batch: int, seq_start: np.ndarray, capacity: int = 64
+    ) -> SessionCache:
+        """Fresh session cache for ``batch`` left-padded sequences, with
+        room for ``capacity`` positions before it first grows."""
         c = self.config
         return SessionCache(
-            c.n_layers, batch, c.n_kv_heads, c.head_dim, seq_start
+            c.n_layers, batch, c.n_kv_heads, c.head_dim, seq_start, capacity
         )
 
     def embed(self, tokens: np.ndarray) -> np.ndarray:
@@ -126,9 +130,12 @@ class FunctionalTransformer:
                     self.biases[li], keep=keep, gqa_group=c.gqa_group,
                 )
             else:
+                shape = (b, h, stop - start, kmax)
+                scores = cache.workspace(math.prod(shape)).reshape(shape)
                 out_c, probs = naive_attention(
                     qc, kk, vv, q_pos[start:stop], kp,
                     self.biases[li], keep=keep, gqa_group=c.gqa_group,
+                    out=scores,
                 )
                 if wants_probs:
                     compressor.observe(li, probs, q_pos[start:stop], kp, lc)
@@ -149,8 +156,10 @@ class FunctionalTransformer:
         q, k, v = w.attn.project_qkv(x, c.n_heads, c.n_kv_heads, c.head_dim)
         cache[li].append(k, v)
         attn = self._attend(li, q, cache, q_pos, compressor)
-        x = x + w.attn.project_out(attn)
-        x = x + w.mlp.forward(x)
+        # ``x`` is this step's own embedding gather: update it in place
+        x += w.attn.project_out(attn)
+        rows = x.size // c.d_model
+        x += w.mlp.forward(x, cache.workspace(3 * rows * c.d_ff))
         if compressor is not None:
             compressor.compress(li, cache[li], phase)
         return x

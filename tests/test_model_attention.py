@@ -13,6 +13,8 @@ from repro.model.attention import (
     naive_attention,
 )
 from repro.model.config import HeadRole
+from repro.model.generate import left_pad
+from repro.model.transformer import FunctionalTransformer
 
 
 def _random_qkv(rng, b, h, kvh, sq, n, dh):
@@ -70,16 +72,25 @@ class TestExpandKV:
 
 class TestMask:
     def test_causal(self):
-        m = build_score_mask(np.arange(3), np.arange(3), None)
-        assert m[0, 0, 0, 1] < -1e8  # future masked
-        assert m[0, 0, 2, 0] == 0.0
+        causal, evict = build_score_mask(np.arange(3), np.arange(3), None)
+        assert causal.shape == (3, 3) and evict is None
+        assert causal[0, 1] < -1e8  # future masked
+        assert causal[2, 0] == 0.0
 
     def test_eviction_mask(self):
         keep = np.ones((1, 1, 3), dtype=bool)
         keep[0, 0, 1] = False
-        m = build_score_mask(np.array([2]), np.arange(3), keep)
-        assert m[0, 0, 0, 1] < -1e8
-        assert m[0, 0, 0, 0] == 0.0
+        causal, evict = build_score_mask(np.array([2]), np.arange(3), keep)
+        assert causal is None  # no key lies in the query's future
+        assert evict.shape == (1, 1, 1, 3)
+        assert evict[0, 0, 0, 1] < -1e8
+        assert evict[0, 0, 0, 0] == 0.0
+
+    def test_nothing_masked_gives_none(self):
+        """A decode query over a fully retained cache needs no mask."""
+        keep = np.ones((2, 1, 5), dtype=bool)
+        masks = build_score_mask(np.array([4]), np.arange(5), keep)
+        assert masks == (None, None)
 
 
 class TestEquivalence:
@@ -132,6 +143,32 @@ class TestEquivalence:
         out_n, _ = naive_attention(q, k, v, q_pos, k_pos, biases)
         out_f = flash_attention(q, k, v, q_pos, k_pos, biases, tile=tile)
         np.testing.assert_allclose(out_n, out_f, rtol=1e-3, atol=1e-4)
+
+
+class TestFlashDtype:
+    """Flash attention accumulates in float64 but returns the input dtype,
+    so a flash-mode model keeps its float32 residual stream."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_output_dtype_follows_input(self, dtype):
+        rng = np.random.default_rng(5)
+        q, k, v = (a.astype(dtype) for a in _random_qkv(rng, 1, 2, 2, 3, 9, 8))
+        out = flash_attention(
+            q, k, v, np.arange(6, 9), np.arange(9), [HeadBias("none", 0)] * 2
+        )
+        assert out.dtype == dtype
+
+    @pytest.mark.parametrize("impl", ["naive", "flash"])
+    def test_model_logits_float32(self, impl, llama_model):
+        model = FunctionalTransformer(
+            llama_model.config, llama_model.weights, attention_impl=impl
+        )
+        tokens, starts = left_pad(
+            [[1, 5, 6, 7], [1, 8, 9]], model.tokenizer.special.pad
+        )
+        cache = model.new_cache(2, starts)
+        assert model.prefill(tokens, cache, None).dtype == np.float32
+        assert model.decode_step(np.array([5, 6]), cache, None).dtype == np.float32
 
 
 class TestProbabilities:
