@@ -74,7 +74,7 @@ from repro.engines.base import ServingCostModel
 from repro.serving.events import EventLoop
 from repro.serving.prefix import PrefixIndex
 from repro.serving.request import ServingRequest
-from repro.serving.scheduler import FCFSPolicy, SchedulerPolicy
+from repro.serving.scheduler import FCFSPolicy, SchedulerPolicy, WaitingQueue
 from repro.serving.telemetry.core import active as _active_telemetry
 from repro.serving.trace import EventType, Trace, TraceEvent
 
@@ -241,8 +241,8 @@ class ServerInstance:
         """KV tokens a request will occupy at its peak.
 
         The peak is static per (request, compression config), so it is
-        memoized on the request — admission feasibility, overflow checks
-        and ``waiting_tokens`` probe it constantly.
+        memoized on the request — admission feasibility, overflow checks,
+        and every waiting-queue push and removal probe it constantly.
         """
         key = self.comp.sparse_budget
         cache = req.peak_cache
@@ -262,16 +262,13 @@ class ServerInstance:
     # event-loop attachment
     # ------------------------------------------------------------------
     def _init_state(self) -> None:
-        self._waiting: List[ServingRequest] = []
+        # arrived requests in the policy's admission order
+        self._waiting = WaitingQueue(self.scheduler)
         # arrived requests whose peak footprint exceeds the budget:
         # flagged once at enqueue (the peak is static), so the per-wake
         # rejection pass is O(1) when nothing is doomed instead of a
         # full queue scan
         self._doomed: List[ServingRequest] = []
-        # whether the waiting queue is arrival-sorted (loop events fire
-        # in time order, so only an out-of-order requeue breaks it) —
-        # lets FCFS-like policies take the head without a scan
-        self._waiting_sorted = True
         self._running: List[ServingRequest] = []
         # running-batch aggregates, kept by _join/_leave and the decode
         # steps: the KV sum (prompt + generated over _running) and the
@@ -355,7 +352,7 @@ class ServerInstance:
     @property
     def queue_depth(self) -> int:
         """Requests waiting (arrived, not yet admitted)."""
-        return len(self._waiting)
+        return len(self._waiting.requests)
 
     @property
     def running_count(self) -> int:
@@ -385,7 +382,7 @@ class ServerInstance:
         that window — misrouting real arrivals toward other instances
         while this one is actually about to free up.
         """
-        total = sum(self._request_tokens(r) for r in self._waiting)
+        total = self._waiting.tokens
         if self._doomed:
             total -= sum(self._request_tokens(r) for r in self._doomed)
         return total
@@ -419,17 +416,16 @@ class ServerInstance:
         self._ensure_wake()
 
     def _enqueue(self, req: ServingRequest) -> None:
-        """Append to the waiting queue, flagging can-never-fit requests
+        """Push onto the waiting queue, flagging can-never-fit requests
         for the next wake-up's rejection pass."""
-        waiting = self._waiting
-        if waiting:
-            if req.arrival < waiting[-1].arrival:
-                self._waiting_sorted = False
-        else:
-            self._waiting_sorted = True  # removals preserve order
-        waiting.append(req)
-        if self._request_tokens(req) > self.token_budget:
+        need = self._request_tokens(req)
+        self._waiting.push(req, need)
+        if need > self.token_budget:
             self._doomed.append(req)
+
+    def _dequeue(self, req: ServingRequest) -> None:
+        """Remove ``req`` from the waiting queue (pushed with its peak)."""
+        self._waiting.remove(req, self._request_tokens(req))
 
     def _ensure_wake(self) -> None:
         if self._wake_at is None:
@@ -502,7 +498,7 @@ class ServerInstance:
         if not self._doomed:
             return
         for req in self._doomed:
-            self._waiting.remove(req)
+            self._dequeue(req)
             req.rejected = True
             self._record(
                 now, EventType.REJECT, req.request_id,
@@ -512,7 +508,7 @@ class ServerInstance:
         self._doomed.clear()
 
     def _reject(self, now: float, req: ServingRequest, need: int) -> None:
-        self._waiting.remove(req)
+        self._dequeue(req)
         req.rejected = True
         self._record(
             now, EventType.REJECT, req.request_id,
@@ -547,13 +543,9 @@ class ServerInstance:
         """Admit (and prefill) one request if the policy's pick fits."""
         # the waiting queue holds arrived requests only (arrivals are
         # loop events fired at their arrival time), so no re-filter
-        arrived = self._waiting
-        if not arrived or len(self._running) >= self.max_batch:
+        if not self._waiting.requests or len(self._running) >= self.max_batch:
             return False
-        if self.scheduler.head_of_sorted and self._waiting_sorted:
-            req = arrived[0]  # FCFS on a sorted queue: head-of-line
-        else:
-            req = arrived[self.scheduler.select(arrived, now)]
+        req = self.scheduler.select(self._waiting, now)
         need = self._admit_need(req)
         if self.used_tokens + need > self.token_budget:
             return False  # head-of-line stall until a finish frees budget
@@ -565,7 +557,7 @@ class ServerInstance:
             # running batch with its prompt KV counted against the
             # budget.  The prefix index is not consulted or updated:
             # migrated blocks were never hashed on this instance.
-            self._waiting.remove(req)
+            self._dequeue(req)
             req.prefill_start = now
             self._record_admit(now, req)
             if req.first_token is None:
@@ -599,7 +591,7 @@ class ServerInstance:
             self._reject(now, req, need)
             self._schedule_wake(now)
             return True
-        self._waiting.remove(req)
+        self._dequeue(req)
         req.prefill_start = now
         self._record_admit(now, req)
         data = {"seconds": cost.seconds, "prompt": req.prompt_len}
@@ -627,7 +619,7 @@ class ServerInstance:
         """Start a chunked prefill: the prompt fills chunk by chunk,
         interleaved with decode steps for the running batch.  A cached
         prefix is already-filled KV, so chunking starts there."""
-        self._waiting.remove(req)
+        self._dequeue(req)
         req.prefill_start = now
         req.prefilled = cached
         self._record_admit(now, req)
@@ -1026,18 +1018,17 @@ class ServerInstance:
         self._form_static_batch(now)
 
     def _form_static_batch(self, now: float) -> None:
-        if not self._waiting:
+        if not self._waiting.requests:
             return  # idle until the next arrival
         batch: List[ServingRequest] = []
         used = 0
-        pool = list(self._waiting)
-        take_head = self.scheduler.head_of_sorted and self._waiting_sorted
-        while pool and len(batch) < self.max_batch:
-            req = pool[0] if take_head else pool[self.scheduler.select(pool, now)]
+        pool = self._waiting.copy()
+        while pool.requests and len(batch) < self.max_batch:
+            req = self.scheduler.select(pool, now)
             need = self._request_tokens(req)
             if used + need > self.token_budget:
                 break  # head-of-line: keep the policy's ordering
-            pool.remove(req)
+            pool.remove(req, need)
             used += need
             batch.append(req)
         if not batch:
@@ -1051,7 +1042,7 @@ class ServerInstance:
             return
         end = now + cost.seconds
         for r in batch:
-            self._waiting.remove(r)
+            self._dequeue(r)
             r.prefill_start = now
             self._record_admit(now, r)
             r.first_token = end

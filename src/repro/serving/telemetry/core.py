@@ -281,15 +281,8 @@ class Telemetry:
             self.loop_pending._values,
             self.loop_fired._values,
         )
-
-    # ------------------------------------------------------------------
-    def _sample_series(self, key: SeriesKey, t: float, v: float) -> None:
-        pts = self.series.get(key)
-        if pts is None:
-            pts = self.series[key] = []
-        pts.append((t, v))
-        if len(pts) > 2 * self.series_limit:
-            pts[:] = pts[::2]  # decimate: halve resolution, keep the span
+        # the ("", "loop_pending") series, resolved at its first sample
+        self._loop_pts: Optional[List[Tuple[float, float]]] = None
 
     # ------------------------------------------------------------------
     # publishing surface (called by the serving components)
@@ -440,8 +433,12 @@ class Telemetry:
         if hot is None:
             hot = self._hot[name] = _InstHot(self, name)
         ik = hot.ik
-        depth = float(inst.queue_depth)
-        running = float(inst.running_count)
+        # ServerInstance.queue_depth and .running_count, read directly
+        depth = float(len(inst._waiting.requests))
+        running = float(
+            len(inst._running) + len(inst._sbatch)
+            + (inst._prefilling is not None)
+        )
         hot.qd_values[ik] = depth
         hot.run_values[ik] = running
         lim = 2 * self.series_limit
@@ -464,13 +461,20 @@ class Telemetry:
 
     def on_loop(self, now: float, pending: int, fired: int) -> None:
         """Event-loop health; series sampled every 16th event."""
-        lv = self._loop_values
-        lv[0][()] = now
-        lv[1][()] = float(pending)
-        lv[2][()] = float(fired)
-        self._loop_tick += 1
-        if self._loop_tick % 16 == 0:
-            self._sample_series(("", "loop_pending"), now, pending)
+        now_v, pending_v, fired_v = self._loop_values
+        now_v[()] = now
+        pending_v[()] = float(pending)
+        fired_v[()] = float(fired)
+        tick = self._loop_tick = self._loop_tick + 1
+        if not tick & 15:
+            pts = self._loop_pts
+            if pts is None:
+                pts = self._loop_pts = self.series.setdefault(
+                    ("", "loop_pending"), []
+                )
+            pts.append((now, pending))
+            if len(pts) > 2 * self.series_limit:
+                pts[:] = pts[::2]  # decimate: halve resolution, keep the span
 
     def on_route(self, instance: str) -> None:
         self.routed.inc(instance=instance)

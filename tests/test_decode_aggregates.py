@@ -1,21 +1,25 @@
-"""The running batch's aggregates equal a rescan after every wake-up.
+"""The instance's aggregates equal a rescan after every wake-up.
 
 ``ServerInstance`` keeps two aggregates of its running batch instead of
 scanning it on every decode burst: ``_kv_sum`` (prompt plus generated
 tokens over the batch) and ``_min_left`` (steps until the first member
-finishes, ``None`` when it must be rescanned).  Each scenario below
-drives one of the paths that change the batch — single-shot, chunked
-and prefix-cache admission, ``kv_ready`` ingest on a disaggregated
-decode pool, recompute preemption, the slow path's OOM drop, and a
-router's verify-and-fallback re-decode — with every wake-up checked
-against a rescan.
+finishes, ``None`` when it must be rescanned).  Its waiting queue keeps
+two more: the queued peak tokens (``waiting_tokens`` reads them) and
+each request's admission key, which must not change while it waits.  Each
+scenario below drives one of the paths that change the batch or the
+queue — single-shot, chunked and prefix-cache admission, ``kv_ready``
+ingest on a disaggregated decode pool, recompute preemption (also under
+the slack policy, whose requeued victims wait under TBOT-milestone
+deadlines), the slow path's OOM drop, a router's verify-and-fallback
+re-decode, and static batches formed under the priority and slack
+policies — with every wake-up checked against a rescan.
 """
 
 import numpy as np
 import pytest
 
 from repro.compression import NoCompression, create
-from repro.engines import LMDEPLOY, ServingCostModel
+from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
@@ -28,18 +32,19 @@ from repro.serving import (
     ServerInstance,
     ServingRequest,
     Trace,
+    make_policy,
 )
 
 FP16 = NoCompression().cost_spec()
 
 
-def instance(comp=FP16, **kw):
-    return ServerInstance(ServingCostModel(LLAMA_7B, A6000, LMDEPLOY), comp, **kw)
+def instance(comp=FP16, engine=LMDEPLOY, **kw):
+    return ServerInstance(ServingCostModel(LLAMA_7B, A6000, engine), comp, **kw)
 
 
 @pytest.fixture
 def wakes(monkeypatch):
-    """Check both aggregates against a rescan after every wake-up;
+    """Check the aggregates against a rescan after every wake-up;
     returns the list of checked wake-ups (instance names)."""
     checked = []
     wake = ServerInstance._wake
@@ -53,6 +58,18 @@ def wakes(monkeypatch):
             assert self._min_left in (None, left)
         else:
             assert self._min_left is None
+        queue = self._waiting
+        queued = list(queue)
+        assert self.queue_depth == len(queued)
+        assert self.waiting_tokens == (
+            sum(self._request_tokens(r) for r in queued)
+            - sum(self._request_tokens(r) for r in self._doomed)
+        )
+        # every key is still the request's admission key, in order
+        assert [k[:-1] for k in queue.keys] == [
+            self.scheduler.admit_key(r) for r in queued
+        ]
+        assert queue.keys == sorted(queue.keys)
         checked.append(self.name)
 
     monkeypatch.setattr(ServerInstance, "_wake", checked_wake)
@@ -85,6 +102,43 @@ def test_dynamic_admission_with_preemption(wakes):
     res = instance(admission="dynamic").run(reqs, trace=trace)
     assert trace.counts()["PREEMPT"] > 0
     assert len(res.completed) == 24
+
+
+def slo_stream(n, seed, prompt, resp, spacing):
+    rng = np.random.default_rng(seed)
+    return [
+        ServingRequest(
+            f"s{i}", spacing * i, int(rng.integers(*prompt)),
+            int(rng.integers(*resp)), priority=int(rng.integers(0, 4)),
+            ttft_deadline=float(rng.uniform(0.5, 4.0)),
+            tbot_target=float(rng.uniform(0.02, 0.2)),
+        )
+        for i in range(n)
+    ]
+
+
+def test_slo_dynamic_chunked_requeues_decoding_victims(wakes):
+    reqs = slo_stream(32, seed=3, prompt=(2000, 4000), resp=(300, 700),
+                      spacing=0.05)
+    trace = Trace()
+    inst = instance(
+        scheduler=make_policy("slo"), admission="dynamic", chunk_size=512,
+    )
+    res = inst.run(reqs, trace=trace)
+    assert trace.counts()["PREEMPT"] > 0
+    # victims past their first token wait under TBOT-milestone keys
+    assert any(e.data["generated"] > 0 for e in trace.of_kind(EventType.PREEMPT))
+    assert len(res.completed) == 32
+
+
+@pytest.mark.parametrize("policy", ["priority", "slo"])
+def test_static_batches_formed_by_policy(wakes, policy):
+    reqs = slo_stream(40, seed=4, prompt=(16, 512), resp=(1, 96), spacing=0.1)
+    trace = Trace()
+    inst = instance(engine=TRL, scheduler=make_policy(policy), max_batch=8)
+    res = inst.run(reqs, trace=trace)
+    assert trace.counts()["PREFILL"] < 40  # batches of more than one
+    assert len(res.completed) == 40
 
 
 def test_chunked_prefill_with_prefix_hits(wakes):

@@ -1,10 +1,11 @@
 """Golden serving traces: every consumer surface pinned per scenario.
 
-Eight seeded single-instance scenarios (core, dynamic admission,
-chunked prefill, SLO slack, priority, shortest-first, prefix caching,
-telemetry-instrumented), each at seeds 0 and 1, run on the columnar
-:class:`Trace` and must match their entry in ``tests/golden/traces.json``
-exactly:
+Ten seeded single-instance scenarios (core, dynamic admission,
+chunked prefill, SLO slack, SLO slack under preempting dynamic
+admission, priority, priority under TRL static batching,
+shortest-first, prefix caching, telemetry-instrumented), each at seeds
+0 and 1, run on the columnar :class:`Trace` and must match their entry
+in ``tests/golden/traces.json`` exactly:
 
 - the event count, ``counts()`` and ``request_ids()``;
 - the sha256 of the header-less ``dump_jsonl`` bytes (every payload
@@ -44,7 +45,7 @@ import numpy as np
 import pytest
 
 from repro.compression import NoCompression
-from repro.engines import LMDEPLOY, ServingCostModel
+from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
@@ -73,12 +74,14 @@ SCALE_BENCH = ROOT / "benchmarks" / "test_serving_scale.py"
 FP16 = NoCompression().cost_spec()
 
 
-def instance(**kw):
-    cm = ServingCostModel(LLAMA_7B, A6000, LMDEPLOY)
+def instance(engine=LMDEPLOY, **kw):
+    cm = ServingCostModel(LLAMA_7B, A6000, engine)
     return ServerInstance(cm, FP16, **kw)
 
 
-def workload(seed, n=40, slo=False, tokens=False):
+def workload(
+    seed, n=40, slo=False, tokens=False, prompt=(16, 512), resp=(1, 96)
+):
     rng = np.random.default_rng(seed)
     t = 0.0
     reqs = []
@@ -99,8 +102,8 @@ def workload(seed, n=40, slo=False, tokens=False):
             ServingRequest(
                 f"r{i}",
                 t,
-                prompt_len=256 if tokens else int(rng.integers(16, 512)),
-                response_len=int(rng.integers(1, 96)),
+                prompt_len=256 if tokens else int(rng.integers(*prompt)),
+                response_len=int(rng.integers(*resp)),
                 priority=int(rng.integers(0, 4)),
                 **kw,
             )
@@ -113,7 +116,17 @@ SCENARIOS = {
     "dynamic": dict(kw=dict(admission="dynamic", max_batch=16)),
     "chunked": dict(kw=dict(chunk_size=64, max_batch=8)),
     "slo": dict(kw=dict(scheduler=make_policy("slo"), max_batch=8), slo=True),
+    # long prompts and responses overrun the KV budget mid-decode, so
+    # requests are preempted and requeued with TBOT-milestone deadlines
+    "slo-dynamic": dict(
+        kw=dict(scheduler=make_policy("slo"), admission="dynamic", max_batch=32),
+        slo=True, shape=dict(prompt=(1024, 4096), resp=(64, 512)),
+    ),
     "priority": dict(kw=dict(scheduler=make_policy("priority"), max_batch=8)),
+    # TRL batches statically: each batch is formed from the whole queue
+    "static-priority": dict(
+        kw=dict(scheduler=make_policy("priority"), max_batch=8), engine=TRL,
+    ),
     "shortest": dict(kw=dict(scheduler=make_policy("shortest"), max_batch=8)),
     "prefix": dict(kw=dict(max_batch=8), tokens=True, prefix=True),
     "telemetry": dict(kw=dict(max_batch=8), telemetry=True),
@@ -131,7 +144,8 @@ RECORDINGS = {
 def scenario_requests(name, seed):
     spec = SCENARIOS[name]
     return workload(
-        seed, slo=spec.get("slo", False), tokens=spec.get("tokens", False)
+        seed, slo=spec.get("slo", False), tokens=spec.get("tokens", False),
+        **spec.get("shape", {}),
     )
 
 
@@ -143,7 +157,7 @@ def run(name, seed):
         kw["prefix_cache"] = PrefixIndex(block_size=16)
     tel = Telemetry() if spec.get("telemetry") else None
     trace = Trace()
-    instance(**kw).run(
+    instance(spec.get("engine", LMDEPLOY), **kw).run(
         copy.deepcopy(scenario_requests(name, seed)), trace=trace,
         telemetry=tel,
     )

@@ -25,6 +25,7 @@ from repro.serving import (
     ShortestFirstPolicy,
     StepMetrics,
     Trace,
+    WaitingQueue,
     make_policy,
     queue_delays,
     request_latencies,
@@ -99,22 +100,29 @@ class TestSchedulerPolicies:
             ServingRequest("c", 0.2, 128, 20, priority=1),
         ]
 
+    @staticmethod
+    def _select(policy, reqs):
+        q = WaitingQueue(policy)
+        for r in reqs:
+            q.push(r, r.total_tokens)
+        return policy.select(q, 1.0)
+
     def test_fcfs_select(self):
         w = self._waiting()
-        assert FCFSPolicy().select(w, 1.0) == 0
+        assert self._select(FCFSPolicy(), w) is w[0]
 
     def test_shortest_select_uses_response_len(self):
         w = self._waiting()
-        assert ShortestFirstPolicy().select(w, 1.0) == 1
+        assert self._select(ShortestFirstPolicy(), w) is w[1]
 
     def test_shortest_select_prefers_predicted(self):
         w = self._waiting()
         w[0].predicted_len = 1.0  # predictor overrides the true length
-        assert ShortestFirstPolicy().select(w, 1.0) == 0
+        assert self._select(ShortestFirstPolicy(), w) is w[0]
 
     def test_priority_select(self):
         w = self._waiting()
-        assert PriorityPolicy().select(w, 1.0) == 1
+        assert self._select(PriorityPolicy(), w) is w[1]
 
     def test_victims(self):
         w = self._waiting()

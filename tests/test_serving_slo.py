@@ -25,6 +25,7 @@ from repro.serving import (
     SlackPolicy,
     StepMetrics,
     Trace,
+    WaitingQueue,
     make_policy,
     queue_delays,
 )
@@ -35,6 +36,14 @@ FP16 = NoCompression().cost_spec()
 def instance(comp=FP16, engine=LMDEPLOY, **kw):
     cm = ServingCostModel(LLAMA_7B, A6000, engine)
     return ServerInstance(cm, comp, **kw)
+
+
+def queue(policy, reqs):
+    """A waiting queue holding ``reqs``, pushed in list order."""
+    q = WaitingQueue(policy)
+    for r in reqs:
+        q.push(r, r.total_tokens)
+    return q
 
 
 def requests(n, prompt=256, resp=32, spacing=1.0, start=0.0, **kw):
@@ -79,22 +88,18 @@ class TestSlackPolicy:
         req.ttft_deadline = 0.5  # TTFT already behind us — irrelevant now
         assert p.slack(req, 2.5) == float("inf")
 
-    def test_seconds_per_token_discounts_remaining_work(self):
-        p = SlackPolicy(seconds_per_token=0.01)
-        req = ServingRequest("a", 0.0, 100, 32, ttft_deadline=2.0)
-        assert p.slack(req, 0.0) == pytest.approx(2.0 - 0.01 * 100)
-
     def test_select_most_urgent_first(self):
         w = [
             ServingRequest("free", 0.0, 128, 32),
             ServingRequest("loose", 0.1, 128, 32, ttft_deadline=10.0),
             ServingRequest("tight", 0.2, 128, 32, ttft_deadline=1.0),
         ]
-        assert SlackPolicy().select(w, 0.5) == 2
+        assert SlackPolicy().select(queue(SlackPolicy(), w), 0.5) is w[2]
 
     def test_select_falls_back_to_arrival_order(self):
         w = requests(3, spacing=0.1)
-        assert SlackPolicy().select(w, 1.0) == FCFSPolicy().select(w, 1.0)
+        slo = SlackPolicy().select(queue(SlackPolicy(), w), 1.0)
+        assert slo is FCFSPolicy().select(queue(FCFSPolicy(), w), 1.0)
 
     def test_victim_most_slack_first(self):
         r = [
