@@ -96,7 +96,7 @@ def _build_serving(args):
     synthetic request stream, and a one-line run description."""
     import numpy as np
 
-    from repro.compression import NoCompression, create
+    from repro.compression import create
     from repro.engines import ServingCostModel
     from repro.engines.presets import get_engine
     from repro.hardware.specs import get_gpu
@@ -108,9 +108,7 @@ def _build_serving(args):
         make_policy,
     )
 
-    comp = (
-        NoCompression() if args.algo == "fp16" else create(args.algo)
-    ).cost_spec()
+    comp = create(args.algo).cost_spec()
     inst = ServerInstance(
         ServingCostModel(get_arch(args.arch), get_gpu(args.gpu), get_engine(args.engine)),
         comp,

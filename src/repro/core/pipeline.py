@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
-from repro.compression.base import Compressor, NoCompression
+from repro.compression.base import Compressor
 from repro.compression.registry import create
 from repro.engines.base import ServingCostModel, StageCost
 from repro.engines.presets import get_engine
-from repro.hardware.interconnect import NVLINK_A6000, InterconnectSpec
+from repro.hardware.interconnect import InterconnectSpec, tp_interconnect
 from repro.hardware.memory import MemoryBreakdown
 from repro.hardware.specs import GPUSpec, get_gpu
 from repro.model.arch import ArchSpec, get_arch
@@ -90,9 +90,7 @@ class CompressedGenerationPipeline:
         self.config = cfg
         self.model = FunctionalTransformer(cfg)
         self.algorithm = algorithm
-        self.compressor: Compressor = (
-            NoCompression() if algorithm == "fp16" else create(algorithm)
-        )
+        self.compressor: Compressor = create(algorithm)
         self.arch: ArchSpec = get_arch(arch)
         self.gpu: GPUSpec = get_gpu(gpu)
         self.cost_model = ServingCostModel(
@@ -100,7 +98,7 @@ class CompressedGenerationPipeline:
             self.gpu,
             get_engine(engine),
             tp=tp,
-            interconnect=interconnect or (NVLINK_A6000 if tp > 1 else None),
+            interconnect=interconnect or tp_interconnect(gpu, tp),
         )
 
     @property

@@ -4,17 +4,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.compression.base import CompressionCostSpec, NoCompression
+from repro.compression.base import CompressionCostSpec
 from repro.compression.registry import create
 from repro.engines.base import ServingCostModel
 from repro.engines.presets import get_engine
-from repro.hardware.interconnect import (
-    NVLINK_A6000,
-    NVLINK_H800,
-    InterconnectSpec,
-)
+from repro.hardware.interconnect import tp_interconnect
 from repro.hardware.specs import get_gpu
 from repro.model.arch import get_arch
 from repro.model.config import llama_sim_config, mistral_sim_config
@@ -64,19 +60,14 @@ def cost_model(
     tp: int = 1,
 ) -> ServingCostModel:
     """Construct a serving cost model for a deployment."""
-    interconnect: Optional[InterconnectSpec] = None
-    if tp > 1:
-        interconnect = NVLINK_H800 if gpu.lower() == "h800" else NVLINK_A6000
     return ServingCostModel(
         get_arch(arch), get_gpu(gpu), get_engine(engine), tp=tp,
-        interconnect=interconnect,
+        interconnect=tp_interconnect(gpu, tp),
     )
 
 
 def comp_spec(name: str) -> CompressionCostSpec:
     """Cost spec for an algorithm name ("fp16" included)."""
-    if name == "fp16":
-        return NoCompression().cost_spec()
     return create(name).cost_spec()
 
 

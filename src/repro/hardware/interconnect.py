@@ -12,6 +12,7 @@ because per-GPU KV traffic falls with TP while fixed overheads do not.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -33,6 +34,17 @@ class InterconnectSpec:
 NVLINK_A6000 = InterconnectSpec(name="nvlink-a6000", link_bandwidth=56.25e9)
 NVLINK_H800 = InterconnectSpec(name="nvlink-h800", link_bandwidth=200e9, latency=9e-6)
 PCIE_GEN4 = InterconnectSpec(name="pcie-gen4", link_bandwidth=24e9, latency=25e-6)
+
+
+def tp_interconnect(gpu: str, tp: int) -> Optional[InterconnectSpec]:
+    """The link a ``tp``-way group of ``gpu`` all-reduces over.
+
+    ``None`` for a single GPU; H800 groups use H800 NVLink and every
+    other GPU the A6000 NVLink bridge.
+    """
+    if tp <= 1:
+        return None
+    return NVLINK_H800 if gpu.lower() == "h800" else NVLINK_A6000
 
 
 def _check_bandwidth(spec: InterconnectSpec) -> None:

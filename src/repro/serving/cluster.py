@@ -38,6 +38,19 @@ class InstanceView:
     waiting_tokens: int
     token_budget: int
 
+    @classmethod
+    def of(cls, index: int, inst: ServerInstance) -> InstanceView:
+        """Live snapshot of ``inst``, the fleet's instance ``index``."""
+        return cls(
+            index=index,
+            name=inst.name,
+            queue_depth=inst.queue_depth,
+            running=inst.running_count,
+            used_tokens=inst.used_tokens,
+            waiting_tokens=inst.waiting_tokens,
+            token_budget=inst.token_budget,
+        )
+
     @property
     def occupancy(self) -> float:
         """Fraction of the KV-token budget currently (or soon) held."""
@@ -79,16 +92,7 @@ class Cluster:
 
     def view(self, index: int) -> InstanceView:
         """Live snapshot of instance ``index``."""
-        inst = self.instances[index]
-        return InstanceView(
-            index=index,
-            name=inst.name,
-            queue_depth=inst.queue_depth,
-            running=inst.running_count,
-            used_tokens=inst.used_tokens,
-            waiting_tokens=inst.waiting_tokens,
-            token_budget=inst.token_budget,
-        )
+        return InstanceView.of(index, self.instances[index])
 
     def views(self) -> List[InstanceView]:
         """Live snapshots of every instance."""

@@ -479,18 +479,7 @@ class DisaggFleet:
     def _pick_active(
         self, pool: List[ServerInstance], active: List[int], req
     ) -> int:
-        views = [
-            InstanceView(
-                index=i,
-                name=pool[i].name,
-                queue_depth=pool[i].queue_depth,
-                running=pool[i].running_count,
-                used_tokens=pool[i].used_tokens,
-                waiting_tokens=pool[i].waiting_tokens,
-                token_budget=pool[i].token_budget,
-            )
-            for i in active
-        ]
+        views = [InstanceView.of(i, pool[i]) for i in active]
         return active[self.pick(req, views, self._loop.now)]
 
     def _dispatch_prefill(
@@ -499,7 +488,6 @@ class DisaggFleet:
         idx = self._pick_active(self.prefill, self._pf_active, orig)
         self._assignment.setdefault(orig.request_id, [None, None])[0] = idx
         inst = self.prefill[idx]
-        inst.expect(stage.arrival)
         if self._telemetry is not None:
             self._telemetry.on_route(inst.name)
         inst.receive(stage)

@@ -16,7 +16,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.serving.trace import EventType, Trace
+from repro.serving.trace import EventType, Trace, queue_delays
 
 
 @dataclass(frozen=True)
@@ -338,21 +338,14 @@ class StepMetrics:
         admit_rows = trace.rows_of(EventType.ADMIT)
         reject_rows = trace.rows_of(EventType.REJECT)
         dropped = set(req[reject_rows].tolist())
-        # last admission per request, measured from its (re)queue epoch;
         # requests that were admitted but later dropped mid-decode are
         # excluded (they were never served)
-        qa, qa_p = trace.payload("queued_at")
-        ar, ar_p = trace.payload("arrival")
-        last_admit: Dict[int, float] = {}
-        for i in admit_rows.tolist():
-            if qa_p is not None and qa_p[i]:
-                since = qa[i]
-            elif ar_p is not None and ar_p[i]:
-                since = ar[i]
-            else:
-                continue
-            last_admit[int(req[i])] = float(time[i] - since)
-        delays = [d for rid, d in last_admit.items() if rid not in dropped]
+        names = trace._req_names
+        dropped_names = {names[rid] for rid in dropped}
+        delays = [
+            d for rid, d in queue_delays(trace).items()
+            if rid not in dropped_names
+        ]
 
         def miss_truthy(key: str) -> np.ndarray:
             v, p = trace.payload(key)

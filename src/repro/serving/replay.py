@@ -56,6 +56,7 @@ from repro.hardware.interconnect import (
     NVLINK_H800,
     PCIE_GEN4,
     InterconnectSpec,
+    tp_interconnect,
 )
 from repro.serving.fleet import (
     PREFILL_SUFFIX,
@@ -65,10 +66,8 @@ from repro.serving.fleet import (
 )
 from repro.serving.metrics import StepMetrics
 from repro.serving.request import ServingRequest
+from repro.serving.router import FALLBACK_SUFFIX
 from repro.serving.trace import EventType, Trace
-
-#: router verify-and-fallback re-decodes run under this suffix
-FALLBACK_SUFFIX = "#fb"
 
 _INTERCONNECTS: Dict[str, InterconnectSpec] = {
     spec.name: spec for spec in (NVLINK_A6000, NVLINK_H800, PCIE_GEN4)
@@ -132,7 +131,7 @@ def build_instance(cfg: Dict[str, object]):
     """Construct a :class:`ServerInstance` from one instance config."""
     # imported lazily: repro.compression / engines / model pull in the
     # numeric stack, and replay is importable from repro.serving.*
-    from repro.compression import NoCompression, create
+    from repro.compression import create
     from repro.engines import ServingCostModel
     from repro.engines.presets import get_engine
     from repro.hardware.specs import get_gpu
@@ -143,21 +142,14 @@ def build_instance(cfg: Dict[str, object]):
 
     cfg = instance_config(**dict(cfg))
     algo = str(cfg["algo"])
-    comp = (
-        NoCompression() if algo == "fp16" else create(algo)
-    ).cost_spec()
-    interconnect = None
+    comp = create(algo).cost_spec()
     tp = int(cfg["tp"])
-    if tp > 1:
-        interconnect = (
-            NVLINK_H800 if str(cfg["gpu"]).lower() == "h800" else NVLINK_A6000
-        )
     model = ServingCostModel(
         get_arch(str(cfg["arch"])),
         get_gpu(str(cfg["gpu"])),
         get_engine(str(cfg["engine"])),
         tp=tp,
-        interconnect=interconnect,
+        interconnect=tp_interconnect(str(cfg["gpu"]), tp),
     )
     return ServerInstance(
         model,

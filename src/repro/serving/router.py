@@ -76,6 +76,9 @@ from repro.serving.request import ServingRequest
 from repro.serving.simulator import ServerInstance, SimulationResult
 from repro.serving.trace import EventType, Trace
 
+#: router verify-and-fallback re-decodes run under this suffix
+FALLBACK_SUFFIX = "#fb"
+
 #: (algo_name, batch, kv_len) -> predicted decode tokens/second
 ThroughputFn = Callable[[str, int, int], float]
 #: (request, algo_name) -> predicted response tokens
@@ -705,7 +708,7 @@ class Router:
         target = lossless[int(np.argmin(loads))]
         algo = self.algos[target]
         fb = ServingRequest(
-            request_id=rid + "#fb",
+            request_id=rid + FALLBACK_SUFFIX,
             arrival=at,
             prompt_len=req.prompt_len,
             response_len=max(1, routed.lengths_by_algo[algo]),

@@ -151,6 +151,11 @@ class ServerInstance:
         self.decode_block = decode_block
         self.scheduler = scheduler or FCFSPolicy()
         self.admission = admission
+        # static batches admit by peak whatever ``admission`` says
+        self._dynamic = (
+            admission == "dynamic"
+            and cost_model.engine.supports_continuous_batching
+        )
         self.chunk_size = chunk_size
         self.prefix_cache = prefix_cache
         self.name = name
@@ -269,22 +274,23 @@ class ServerInstance:
         # rejection pass is O(1) when nothing is doomed instead of a
         # full queue scan
         self._doomed: List[ServingRequest] = []
+        # the running batch: continuous members, or the static batch
         self._running: List[ServingRequest] = []
         # running-batch aggregates, kept by _join/_leave and the decode
-        # steps: the KV sum (prompt + generated over _running) and the
-        # steps until the first member finishes (None: rescan on use)
+        # steps: the KV sum (prompt + generated over _running), the peak
+        # sum (the reserve-admission ledger) and the steps until the
+        # first member finishes (None: rescan on use)
         self._kv_sum = 0
+        self._peak_sum = 0
         self._min_left: Optional[int] = None
         self._future: List[float] = []  # arrival times not yet reached
-        self._used = 0
         self._wake_at: Optional[float] = None
         self._submitted: List[ServingRequest] = []
         # chunked-prefill state: the request currently mid-prefill, and
         # whose turn the next wake-up is (chunk vs decode step)
         self._prefilling: Optional[ServingRequest] = None
         self._decode_turn = False
-        # static-batching state
-        self._sbatch: List[ServingRequest] = []
+        # static batch: its formed size, steps run and widest prompt
         self._sbatch_size = 0
         self._sstep = 0
         self._smax_prompt = 0
@@ -338,10 +344,7 @@ class ServerInstance:
         """
         assert self._loop is not None, "attach() before receive()"
         self._submitted.append(req)
-        if self._future and self._future[0] <= req.arrival:
-            heapq.heappop(self._future)
-        self._enqueue(req)
-        self._ensure_wake()
+        self._on_arrival(req)
 
     def result(self) -> SimulationResult:
         """Collect the outcome after the loop has drained."""
@@ -357,19 +360,18 @@ class ServerInstance:
     @property
     def running_count(self) -> int:
         """Requests currently decoding or mid-prefill."""
-        mid = 1 if self._prefilling is not None else 0
-        return len(self._running) + len(self._sbatch) + mid
+        return len(self._running) + (self._prefilling is not None)
 
     @property
     def used_tokens(self) -> int:
-        """Live KV-token occupancy."""
-        if self.admission == "dynamic":
+        """Live KV-token occupancy (reserve admission: the peaks held)."""
+        pre = self._prefilling
+        if self._dynamic:
             live = sum(self._live_tokens(r) for r in self._running)
-            if self._prefilling is not None:
-                live += self._prefilling.prefilled
-        else:
-            live = self._used
-        return live + self._static_used()
+            return live + (pre.prefilled if pre is not None else 0)
+        return self._peak_sum + (
+            self._request_tokens(pre) if pre is not None else 0
+        )
 
     @property
     def waiting_tokens(self) -> int:
@@ -386,9 +388,6 @@ class ServerInstance:
         if self._doomed:
             total -= sum(self._request_tokens(r) for r in self._doomed)
         return total
-
-    def _static_used(self) -> int:
-        return sum(self._request_tokens(r) for r in self._sbatch)
 
     # ------------------------------------------------------------------
     def run(
@@ -498,13 +497,7 @@ class ServerInstance:
         if not self._doomed:
             return
         for req in self._doomed:
-            self._dequeue(req)
-            req.rejected = True
-            self._record(
-                now, EventType.REJECT, req.request_id,
-                need=self._request_tokens(req),
-                token_budget=self.token_budget,
-            )
+            self._reject(now, req, self._request_tokens(req))
         self._doomed.clear()
 
     def _reject(self, now: float, req: ServingRequest, need: int) -> None:
@@ -535,7 +528,7 @@ class ServerInstance:
         # else: idle — the next arrival event re-wakes us
 
     def _admit_need(self, req: ServingRequest) -> int:
-        if self.admission == "dynamic":
+        if self._dynamic:
             return self._live_tokens(req)
         return self._request_tokens(req)
 
@@ -560,17 +553,7 @@ class ServerInstance:
             self._dequeue(req)
             req.prefill_start = now
             self._record_admit(now, req)
-            if req.first_token is None:
-                req.first_token = now
-            req.prefilled = req.prompt_len
-            if req.generated == 0:
-                req.generated = 1 if req.response_len > 0 else 0
-            if req.done:
-                self._finish(req, now)
-            else:
-                self._join(req)
-                if self.admission == "reserve":
-                    self._used += need
+            self._prefilled(req, now)
             self._schedule_wake(now)
             return True
         cached = self._prefix_lookup(now, req)
@@ -578,7 +561,7 @@ class ServerInstance:
             self.chunk_size is not None
             and req.prompt_len - cached > self.chunk_size
         ):
-            return self._admit_chunked(now, req, need, cached)
+            return self._admit_chunked(now, req, cached)
         if cached:
             # only the uncached suffix runs; the resident prefix is
             # attended over, not recomputed (prefill_chunk prices that)
@@ -599,22 +582,13 @@ class ServerInstance:
             data["cached"] = cached
         self._record(now, EventType.PREFILL, req.request_id, **data)
         end = now + cost.seconds
-        if req.first_token is None:  # preserved across recompute preemption
-            req.first_token = end
-        req.prefilled = req.prompt_len
-        req.generated = 1 if req.response_len > 0 else 0
         self._prefix_insert(req)
-        if req.done:
-            self._finish(req, end)
-        else:
-            self._join(req)
-            if self.admission == "reserve":
-                self._used += need
+        self._prefilled(req, end)
         self._schedule_wake(end)
         return True
 
     def _admit_chunked(
-        self, now: float, req: ServingRequest, need: int, cached: int = 0
+        self, now: float, req: ServingRequest, cached: int = 0
     ) -> bool:
         """Start a chunked prefill: the prompt fills chunk by chunk,
         interleaved with decode steps for the running batch.  A cached
@@ -624,8 +598,6 @@ class ServerInstance:
         req.prefilled = cached
         self._record_admit(now, req)
         self._prefilling = req
-        if self.admission == "reserve":
-            self._used += need
         self._prefill_chunk(now)
         return True
 
@@ -640,8 +612,6 @@ class ServerInstance:
             # a later chunk can OOM on activation memory even when the
             # first fit; the request can never complete here — drop it
             self._prefilling = None
-            if self.admission == "reserve":
-                self._used -= self._request_tokens(req)
             req.prefilled = 0
             req.rejected = True
             self._record(
@@ -659,18 +629,23 @@ class ServerInstance:
         )
         if req.prefilled >= req.prompt_len:
             self._prefilling = None
-            if req.first_token is None:
-                req.first_token = end
-            req.generated = 1 if req.response_len > 0 else 0
             self._prefix_insert(req)
-            if req.done:
-                if self.admission == "reserve":
-                    self._used -= self._request_tokens(req)
-                self._finish(req, end)
-            else:
-                self._join(req)
+            self._prefilled(req, end)
         self._decode_turn = True  # decodes get the next slot
         self._schedule_wake(end)
+
+    def _prefilled(self, req: ServingRequest, at: float) -> None:
+        """The prompt's KV is complete at ``at``: emit the first token
+        (kept across recompute preemption), then finish a request with
+        no response or add it to the running batch."""
+        if req.first_token is None:
+            req.first_token = at
+        req.prefilled = req.prompt_len
+        req.generated = 1 if req.response_len > 0 else 0
+        if req.done:
+            self._finish(req, at)
+        else:
+            self._join(req)
 
     def _finish(self, req: ServingRequest, at: float) -> None:
         req.finish = at
@@ -699,6 +674,7 @@ class ServerInstance:
         """Add ``req`` to the running batch, keeping the aggregates."""
         self._running.append(req)
         self._kv_sum += req.prompt_len + req.generated
+        self._peak_sum += self._request_tokens(req)
         if self._min_left is not None:
             self._min_left = min(self._min_left, req.response_len - req.generated)
 
@@ -706,6 +682,7 @@ class ServerInstance:
         """Remove and return ``_running[i]``, keeping the aggregates."""
         req = self._running.pop(i)
         self._kv_sum -= req.prompt_len + req.generated
+        self._peak_sum -= self._request_tokens(req)
         if (
             self._min_left is not None
             and req.response_len - req.generated <= self._min_left
@@ -713,17 +690,14 @@ class ServerInstance:
             self._min_left = None  # it may have been the only minimum
         return req
 
-    def _retire_done(self, clock: float) -> bool:
+    def _retire_done(self, clock: float) -> None:
         """Finish every done member of the running batch, in batch
         order, each leaving before its FINISH (the completion hook sees
-        the batch without it); returns whether any finished."""
+        the batch without it)."""
         done = [i for i, r in enumerate(self._running) if r.done]
         for gone, i in enumerate(done):
             r = self._leave(i - gone)  # earlier leavers shifted it down
-            if self.admission == "reserve":
-                self._used -= self._request_tokens(r)
             self._finish(r, clock)
-        return bool(done)
 
     def _decode_kv_len(self) -> int:
         """Mean KV length of the running batch, truncated.
@@ -749,25 +723,17 @@ class ServerInstance:
         changes (finish/preempt) so every step is priced for the batch
         actually executing it, or when a new arrival lands.
 
-        Preemption runs *before* each step is priced (vLLM-style): the
-        budget check uses the footprint the step is about to write, so
-        the executing step always fits.  The pre-fix simulator preempted
-        after the step, letting the overflowing step itself be priced
-        against a state the memory model rejects — ``seconds=inf`` —
-        and silently running the clock to infinity.
-
-        Within one burst the batch membership is constant, so the whole
-        block is run at once (:meth:`_decode_burst`): the first-finisher
-        step comes from the running-batch aggregate ``_min_left``, the
-        step prices are consecutive memo entries from the aggregate KV
-        sum (the truncated mean rises by exactly one per step), the
-        clocks are their running sum, the budget-overflow horizon
-        (dynamic admission) comes from the batch's cumulative KV growth,
-        and the trace gets one deferred columnar append.  Steps that hit
-        a boundary the burst cannot model — budget overflow forcing a
-        preemption, or a cost-model OOM (``seconds=inf``) — fall back to
-        :meth:`_decode_step_slow`, the original single-step logic.  Both
-        paths make identical decisions at identical clocks.
+        Every step runs through :meth:`_decode_burst`, which runs the
+        block's fixed-membership steps at once.  A burst stops short of
+        the block at the first step it cannot run: one whose footprint
+        would overflow the budget (dynamic admission) or whose price is
+        a cost-model OOM (``seconds=inf``).  :meth:`_make_room` then
+        evicts (or drops) requests *before* that step is priced
+        (vLLM-style), so the executing step always fits — an
+        overflowing step priced ``inf`` would run the clock to
+        infinity — and a one-step burst runs it.  An eviction changed
+        the batch, so the block ends there and the next wake-up
+        re-prices.
         """
         clock = now
         self._decode_turn = False
@@ -777,9 +743,12 @@ class ServerInstance:
             remaining -= ran
             if stop or remaining <= 0:
                 break
-            clock, stop = self._decode_step_slow(clock)
+            evicted = self._make_room(clock)
+            if evicted is None:
+                break
+            _, clock, stop = self._decode_burst(clock, 1)
             remaining -= 1
-            if stop:
+            if stop or evicted:
                 break
         self._schedule_wake(clock)
 
@@ -788,11 +757,18 @@ class ServerInstance:
     ) -> Tuple[int, float, bool]:
         """Run consecutive fixed-membership decode steps in bulk.
 
+        The first-finisher step comes from the running-batch aggregate
+        ``_min_left``, the step prices are consecutive memo entries from
+        the aggregate KV sum, the clocks are their running sum, the
+        budget-overflow horizon (dynamic admission) comes from the
+        batch's cumulative KV growth, and the trace and telemetry each
+        get one call for the whole burst.
+
         Returns ``(steps_ran, clock, stop)``; ``stop`` means the block
-        is over (a finish or a mid-block arrival — the same break
-        points as the per-step loop).  ``steps_ran == 0`` with
-        ``stop=False`` means the very next step needs the slow path
-        (preemption pressure or an OOM-priced step).
+        is over (a finish, or an arrival at or before a step's end: that
+        step is the block's last).  ``stop=False`` with fewer than
+        ``max_steps`` run means the next step needs :meth:`_make_room`
+        first (it would overflow the budget or is OOM-priced).
         """
         running = self._running
         batch = len(running)
@@ -805,7 +781,7 @@ class ServerInstance:
         extra = (
             self._prefilling.prefilled if self._prefilling is not None else 0
         )
-        if self.admission == "dynamic":
+        if self._dynamic:
             # pre-step budget check for step j: every member grows one
             # KV token per step, capped at its peak — find the horizon
             # where the batched footprint first overflows
@@ -824,7 +800,7 @@ class ServerInstance:
                         k = j
                         break
             if k <= 0:
-                return 0, clock, False  # slow path preempts first
+                return 0, clock, False  # _make_room preempts first
         # every member grows one token per step, so the truncated KV
         # mean rises by exactly one: int((S + j*b) / b) == int(S / b) + j
         # for exact ints, and step j is priced at (batch, kv0 + j)
@@ -847,7 +823,7 @@ class ServerInstance:
                     break
             del dts[j + 1:]
         if inf in dts:
-            del dts[dts.index(inf):]  # slow path evicts or drops
+            del dts[dts.index(inf):]  # _make_room evicts or drops
         if not dts:
             return 0, clock, False
         # the step clocks, added left to right exactly as clock += dt
@@ -870,7 +846,7 @@ class ServerInstance:
         trace, tel = self._trace, self._telemetry
         if trace is not None or tel is not None:
             kvs = range(kv0, kv0 + executed)
-            if self.admission == "dynamic":
+            if self._dynamic:
                 steps = np.arange(1, executed + 1)
                 used = [
                     int(u) + extra
@@ -879,7 +855,7 @@ class ServerInstance:
                     ).sum(axis=1)
                 ]
             else:
-                used = self._used  # no static batch in continuous mode
+                used = self.used_tokens  # the ledger: constant per burst
             # the whole burst lands in one batched call per sink
             if trace is not None:
                 trace.record_decode_steps(
@@ -895,72 +871,46 @@ class ServerInstance:
             self._retire_done(clock)
         return executed, clock, stop
 
-    def _decode_step_slow(self, clock: float) -> Tuple[float, bool]:
-        """One decode step with the original per-step logic — handles
-        the boundaries the burst cannot: pre-step preemption pressure
-        and OOM-priced (``seconds=inf``) steps.  Returns ``(clock,
-        stop)`` with ``stop=True`` when the block must end (membership
-        changed, a drop, or a mid-block arrival)."""
-        preempted = False
-        if self.admission == "dynamic":
-            preempted = self._preempt_if_needed(clock, pre_step=True)
-        if not self._running:
-            return clock, True
-        batch = len(self._running)
-        kv = self._decode_kv_len()
-        dt = self._step_seconds(batch, kv)
-        while dt == float("inf") and self._evict_victim(clock):
-            # memory-model OOM the token budget missed (per-batch
-            # workspace overhead): evict one victim and re-price
-            preempted = True
-            batch = len(self._running)
-            kv = self._decode_kv_len()
-            dt = self._step_seconds(batch, kv)
-        if dt == float("inf"):
-            # a request whose decode can never fit: drop the
-            # scheduler's victim (the request whose footprint caused
-            # the OOM, per policy) rather than spinning the clock to
-            # infinity
-            victim = self._leave(self.scheduler.victim(self._running, clock))
-            if self.admission == "reserve":
-                self._used -= self._request_tokens(victim)
-            victim.rejected = True
-            self._record(
-                clock, EventType.REJECT, victim.request_id,
-                need=self._request_tokens(victim),
-                token_budget=self.token_budget,
-                generated=victim.generated,
-            )
-            return clock, True
-        clock += dt
-        for r in self._running:
-            r.generated += 1
-        self._kv_sum += batch
-        if self._min_left is not None:
-            self._min_left -= 1
-        self._record(
-            clock, EventType.DECODE_STEP,
-            batch=batch, kv=kv, seconds=dt,
-            used_tokens=self.used_tokens, token_budget=self.token_budget,
-            live=len(self._running),
-        )
-        if self._retire_done(clock) or preempted:
-            return clock, True  # membership changed: re-price next wake
-        if self._future and self._future[0] <= clock:
-            return clock, True  # a new arrival landed mid-block
-        return clock, False
+    def _make_room(self, clock: float) -> Optional[bool]:
+        """Evict requests until the next decode step can run: under
+        dynamic admission its footprint must fit the budget, and its
+        price must be finite (a memory-model OOM the token budget missed,
+        such as per-batch workspace overhead).
 
-    def _overflow(self, pre_step: bool = False) -> bool:
-        """Live footprint (decoding + partially-prefilled) over budget?
-
-        With ``pre_step=True`` the check uses the footprint *after* the
-        step about to run (each running request writes one more KV
-        token), so the step that executes is guaranteed to fit.
+        Returns whether anything was evicted, or ``None`` when no victim
+        is left and the step is still OOM-priced: the request whose
+        decode can never fit (the scheduler's victim) is then dropped
+        rather than spinning the clock to infinity, and the block ends.
         """
-        grow = 1 if pre_step else 0
+        evicted = False
+        if self._dynamic:
+            while self._overflow() and self._evict_victim(clock):
+                evicted = True
+        inf = float("inf")
+        while self._step_seconds(len(self._running), self._decode_kv_len()) == inf:
+            if not self._evict_victim(clock):
+                victim = self._leave(self.scheduler.victim(self._running, clock))
+                victim.rejected = True
+                self._record(
+                    clock, EventType.REJECT, victim.request_id,
+                    need=self._request_tokens(victim),
+                    token_budget=self.token_budget,
+                    generated=victim.generated,
+                )
+                return None
+            evicted = True
+        return evicted
+
+    def _overflow(self) -> bool:
+        """Would the next decode step overflow the budget?
+
+        The footprint counted is the one *after* the step (each running
+        request writes one more KV token) plus the partially-prefilled
+        request's, so the step that executes is guaranteed to fit.
+        """
         live = sum(
             min(
-                r.prompt_len + max(1, r.generated) + grow,
+                r.prompt_len + max(1, r.generated) + 1,
                 self._request_tokens(r),
             )
             for r in self._running
@@ -982,8 +932,6 @@ class ServerInstance:
             victim = self._leave(self.scheduler.victim(self._running, clock))
         else:
             return False
-        if self.admission == "reserve":
-            self._used -= self._request_tokens(victim)
         self._record(
             clock, EventType.PREEMPT, victim.request_id,
             generated=victim.generated,
@@ -1001,18 +949,11 @@ class ServerInstance:
         self._enqueue(victim)
         return True
 
-    def _preempt_if_needed(self, clock: float, pre_step: bool = False) -> bool:
-        """Evict victims until the live footprint fits the budget."""
-        preempted = False
-        while self._overflow(pre_step) and self._evict_victim(clock):
-            preempted = True
-        return preempted
-
     # ------------------------------------------------------------------
     # static batching (engines without continuous batching)
     # ------------------------------------------------------------------
     def _wake_static(self, now: float) -> None:
-        if self._sbatch:
+        if self._running:
             self._static_decode(now)
             return
         self._form_static_batch(now)
@@ -1051,10 +992,14 @@ class ServerInstance:
             now, EventType.PREFILL,
             seconds=cost.seconds, batch=len(batch), prompt=max_prompt,
         )
+        # every finish comes first: an on_finish hook sees the batch as
+        # not yet running
         for r in batch:
             if r.done:
                 self._finish(r, end)
-        self._sbatch = [r for r in batch if not r.done]
+        for r in batch:
+            if not r.done:
+                self._join(r)
         self._sbatch_size = len(batch)
         self._sstep = 0
         self._smax_prompt = max_prompt
@@ -1063,21 +1008,19 @@ class ServerInstance:
     def _static_decode(self, now: float) -> None:
         """One decode step; stragglers hold the batch, so the step stays
         priced at the *formed* batch size (padded execution)."""
+        running = self._running
         kv = self._smax_prompt + 1 + self._sstep
         dt = self._step_seconds(self._sbatch_size, kv)
         clock = now + dt
-        for r in self._sbatch:
+        for r in running:
             r.generated += 1
+        self._kv_sum += len(running)
         self._record(
             clock, EventType.DECODE_STEP,
             batch=self._sbatch_size, kv=kv, seconds=dt,
             used_tokens=self.used_tokens, token_budget=self.token_budget,
-            live=len(self._sbatch),
+            live=len(running),
         )
-        for r in [r for r in self._sbatch if r.done]:
-            self._sbatch.remove(r)
-            self._finish(r, clock)
+        self._retire_done(clock)
         self._sstep += 1
-        if not self._sbatch:
-            self._sbatch_size = 0
         self._schedule_wake(clock)

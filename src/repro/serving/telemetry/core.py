@@ -435,10 +435,7 @@ class Telemetry:
         ik = hot.ik
         # ServerInstance.queue_depth and .running_count, read directly
         depth = float(len(inst._waiting.requests))
-        running = float(
-            len(inst._running) + len(inst._sbatch)
-            + (inst._prefilling is not None)
-        )
+        running = float(len(inst._running) + (inst._prefilling is not None))
         hot.qd_values[ik] = depth
         hot.run_values[ik] = running
         lim = 2 * self.series_limit

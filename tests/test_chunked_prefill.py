@@ -189,7 +189,7 @@ class TestChunkedExecution:
     def test_reserve_budget_returns_to_zero(self):
         inst, res, _ = self._traced(512)
         assert len(res.completed) == 9
-        assert inst._used == 0 and inst.used_tokens == 0
+        assert inst._peak_sum == 0 and inst.used_tokens == 0
 
     def test_zero_response_chunked(self):
         z = ServingRequest("z", 0.0, 1500, 0)
@@ -197,7 +197,7 @@ class TestChunkedExecution:
         assert z.finish is not None and z.generated == 0
         assert z.finish == z.first_token  # prefill only
         assert len(trace.of_kind(EventType.PREFILL_CHUNK)) == 3
-        assert inst._used == 0
+        assert inst._peak_sum == 0
 
     def test_chunked_with_dynamic_admission_completes(self):
         reqs = [ServingRequest(f"L{i}", 0.0, 3000, 2000) for i in range(24)]

@@ -71,6 +71,18 @@ class TestPipeline:
         est = p.estimate_serving(batch=4, prompt_len=2048)
         assert not est.decode.oom
 
+    @pytest.mark.parametrize("gpu", ["a6000", "h800", "a100-80g"])
+    def test_tp_link_matches_experiments(self, gpu):
+        # the pipeline prices a TP group on the link the experiments use
+        from repro.experiments.common import comp_spec, cost_model
+
+        p = CompressedGenerationPipeline("kivi-4", gpu=gpu, tp=2)
+        ref = cost_model("llama-7b", gpu, tp=2)
+        assert p.cost_model.interconnect == ref.interconnect
+        assert p.decode_throughput(16, 2048) == ref.decode_throughput(
+            16, 2048, comp_spec("kivi-4")
+        )
+
 
 class TestScales:
     def test_scale_selection(self, monkeypatch):

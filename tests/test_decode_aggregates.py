@@ -1,18 +1,22 @@
 """The instance's aggregates equal a rescan after every wake-up.
 
-``ServerInstance`` keeps two aggregates of its running batch instead of
-scanning it on every decode burst: ``_kv_sum`` (prompt plus generated
-tokens over the batch) and ``_min_left`` (steps until the first member
-finishes, ``None`` when it must be rescanned).  Its waiting queue keeps
-two more: the queued peak tokens (``waiting_tokens`` reads them) and
-each request's admission key, which must not change while it waits.  Each
-scenario below drives one of the paths that change the batch or the
-queue — single-shot, chunked and prefix-cache admission, ``kv_ready``
-ingest on a disaggregated decode pool, recompute preemption (also under
-the slack policy, whose requeued victims wait under TBOT-milestone
-deadlines), the slow path's OOM drop, a router's verify-and-fallback
-re-decode, and static batches formed under the priority and slack
-policies — with every wake-up checked against a rescan.
+``ServerInstance`` keeps three aggregates of its running batch instead
+of scanning it: ``_kv_sum`` (prompt plus generated tokens over the
+batch), ``_peak_sum`` (peak tokens over the batch: the reserve-admission
+ledger ``used_tokens`` reads, plus the peak of a request mid-prefill)
+and ``_min_left`` (steps until the first member finishes, ``None`` when
+it must be rescanned).  Its waiting queue keeps two more: the queued
+peak tokens (``waiting_tokens`` reads them) and each request's admission
+key, which must not change while it waits.  Each scenario below drives
+one of the paths that change the batch or the queue — single-shot,
+chunked (under both admission modes) and prefix-cache admission,
+``kv_ready`` ingest on a disaggregated decode pool, recompute preemption
+(also under the slack policy, whose requeued victims wait under
+TBOT-milestone deadlines), ``_make_room``'s evictions and OOM drop, a
+router's verify-and-fallback re-decode, and static batches formed under
+the priority and slack policies — with every wake-up checked against a
+rescan.  Every decode burst that follows ``_make_room`` must run exactly
+one step: the one room was made for.
 """
 
 import numpy as np
@@ -43,16 +47,54 @@ def instance(comp=FP16, engine=LMDEPLOY, **kw):
 
 
 @pytest.fixture
-def wakes(monkeypatch):
-    """Check the aggregates against a rescan after every wake-up;
-    returns the list of checked wake-ups (instance names)."""
+def room_steps():
+    """Instance names of the bursts run right after ``_make_room``."""
+    return []
+
+
+@pytest.fixture
+def wakes(monkeypatch, room_steps):
+    """Check the aggregates against a rescan after every wake-up, and
+    that each burst after ``_make_room`` runs one step; returns the
+    list of checked wake-ups (instance names)."""
     checked = []
     wake = ServerInstance._wake
+    make_room = ServerInstance._make_room
+    burst = ServerInstance._decode_burst
+    made_room = set()
+
+    def checked_make_room(self, clock):
+        evicted = make_room(self, clock)
+        if evicted is not None:
+            made_room.add(self)
+        return evicted
+
+    def checked_burst(self, clock, max_steps):
+        out = burst(self, clock, max_steps)
+        if self in made_room:
+            made_room.discard(self)
+            assert out[0] == 1
+            room_steps.append(self.name)
+        return out
 
     def checked_wake(self):
         wake(self)
         running = self._running
+        pre = self._prefilling
         assert self._kv_sum == sum(r.prompt_len + r.generated for r in running)
+        peaks = sum(self._request_tokens(r) for r in running)
+        assert self._peak_sum == peaks
+        if (
+            self.admission == "dynamic"
+            and self.cost_model.engine.supports_continuous_batching
+        ):
+            used = sum(
+                min(r.prompt_len + max(1, r.generated), self._request_tokens(r))
+                for r in running
+            ) + (pre.prefilled if pre is not None else 0)
+        else:
+            used = peaks + (self._request_tokens(pre) if pre is not None else 0)
+        assert self.used_tokens == used
         if running:
             left = min(r.response_len - r.generated for r in running)
             assert self._min_left in (None, left)
@@ -73,6 +115,8 @@ def wakes(monkeypatch):
         checked.append(self.name)
 
     monkeypatch.setattr(ServerInstance, "_wake", checked_wake)
+    monkeypatch.setattr(ServerInstance, "_make_room", checked_make_room)
+    monkeypatch.setattr(ServerInstance, "_decode_burst", checked_burst)
     return checked
 
 
@@ -138,6 +182,51 @@ def test_static_batches_formed_by_policy(wakes, policy):
     inst = instance(engine=TRL, scheduler=make_policy(policy), max_batch=8)
     res = inst.run(reqs, trace=trace)
     assert trace.counts()["PREFILL"] < 40  # batches of more than one
+    assert len(res.completed) == 40
+
+
+def test_static_batches_under_dynamic_admission(wakes):
+    # static batches admit and count by peak whatever admission says
+    reqs = slo_stream(40, seed=4, prompt=(16, 512), resp=(1, 96), spacing=0.1)
+    inst = instance(engine=TRL, admission="dynamic", max_batch=8)
+    res = inst.run(reqs, trace=Trace())
+    assert len(res.completed) == 40
+
+
+def test_reserve_chunked_prefill_holds_its_peak(wakes):
+    # long prompts fill chunk by chunk while the batch decodes: the
+    # request mid-prefill holds its peak in the reserve ledger
+    reqs = stream(30, seed=2, prompt=(256, 3000), resp=(8, 200), rate=20.0)
+    inst = instance(chunk_size=256)
+    mid_prefill = []
+    decode = inst._decode
+
+    def decode_noting_prefill(now, limit=None):
+        mid_prefill.append(inst._prefilling is not None)
+        decode(now, limit)
+
+    inst._decode = decode_noting_prefill
+    res = inst.run(reqs, trace=Trace())
+    assert any(mid_prefill)
+    assert len(res.completed) == 30
+    assert inst._peak_sum == 0 and inst.used_tokens == 0
+
+
+@pytest.mark.parametrize("admission", ["reserve", "dynamic"])
+def test_make_room_evicts_for_oom_priced_steps(wakes, room_steps, admission):
+    # price a step as OOM once the batch holds 9000 KV tokens: blocks
+    # stop short and _make_room evicts the policy's victims (the
+    # request mid-prefill first) before the step runs
+    inst = instance(admission=admission, chunk_size=512)
+    priced = inst._step_seconds
+    inst._step_seconds = lambda batch, kv: (
+        float("inf") if batch * kv >= 9000 else priced(batch, kv)
+    )
+    reqs = stream(40, seed=11, prompt=(256, 3000), resp=(1, 400), rate=30.0)
+    trace = Trace()
+    res = inst.run(reqs, trace=trace)
+    assert trace.counts()["PREEMPT"] > 0
+    assert room_steps
     assert len(res.completed) == 40
 
 
