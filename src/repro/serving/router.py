@@ -276,7 +276,7 @@ class Router:
         if self.throughput_fn:
             # per-sequence decode rate at the load this request would join
             per_seq_rate = self.throughput_fn(algo, active, kv) / active
-        prefill = inst.cost_model.prefill(1, req.prompt_len, inst.comp).seconds
+        prefill = inst.prefill_seconds(req.prompt_len)
         decode = pred_len / max(per_seq_rate, 1e-6)
         e2e = load_seconds[idx] + prefill + decode
         return per_seq_rate, pred_len, e2e
@@ -286,8 +286,7 @@ class Router:
     ) -> float:
         """Predicted TTFT slack on instance ``idx``: deadline minus the
         backlog drain plus this request's own prefill."""
-        inst = self.instances[idx]
-        prefill = inst.cost_model.prefill(1, req.prompt_len, inst.comp).seconds
+        prefill = self.instances[idx].prefill_seconds(req.prompt_len)
         return req.ttft_deadline - (load_seconds[idx] + prefill)
 
     # ------------------------------------------------------------------
@@ -351,7 +350,7 @@ class Router:
         and predicted SLO overrun."""
         inst = self.instances[idx]
         algo = self.algos[idx]
-        prefill = inst.cost_model.prefill(1, req.prompt_len, inst.comp).seconds
+        prefill = inst.prefill_seconds(req.prompt_len)
         pred_len = (
             self.length_fn(req, algo)
             if self.length_fn
@@ -378,11 +377,8 @@ class Router:
         score = wait + service
         if cached > 0:
             # live cached prefix: admission will only price the suffix
-            saved = (
-                prefill
-                - inst.cost_model.prefill_chunk(
-                    1, req.prompt_len - cached, cached, inst.comp
-                ).seconds
+            saved = prefill - inst.prefill_seconds(
+                req.prompt_len - cached, cached
             )
             score = max(score - saved, 1e-9)
         # soft risk penalty: requests prefer instances predicted not to

@@ -79,6 +79,7 @@ from repro.serving.telemetry.core import active as _active_telemetry
 from repro.serving.trace import EventType, Trace, TraceEvent
 
 ADMISSION_MODES = ("reserve", "dynamic")
+_INF = float("inf")
 
 
 @dataclass
@@ -156,12 +157,18 @@ class ServerInstance:
             admission == "dynamic"
             and cost_model.engine.supports_continuous_batching
         )
+        # a sparse budget caps each member's live footprint at its peak,
+        # so the dynamic footprint is summed member by member; without
+        # one it is the running-batch aggregate ``_kv_sum``
+        self._per_member = self._dynamic and comp.sparse_budget is not None
         self.chunk_size = chunk_size
         self.prefix_cache = prefix_cache
         self.name = name
         self.token_budget = self._token_budget()
         # decode-step price memo: batch -> {mean KV length: seconds}
         self._step_cache: Dict[int, Dict[int, float]] = {}
+        # prefill price memo: (batch, new tokens, cached prefix) -> seconds
+        self._prefill_cache: Dict[Tuple[int, int, int], float] = {}
         self._loop: Optional[EventLoop] = None
         self._trace: Optional[Trace] = None
         self._telemetry = None
@@ -223,15 +230,12 @@ class ServerInstance:
             self._telemetry.on_prefix_lookup(cached)
             self._telemetry.sample_prefix(self.prefix_cache)
         if cached:
-            saved = (
-                self.cost_model.prefill(1, req.prompt_len, self.comp).seconds
-                - self.cost_model.prefill_chunk(
-                    1, req.prompt_len - cached, cached, self.comp
-                ).seconds
-            )
+            full = self.prefill_seconds(req.prompt_len)
+            suffix = self.prefill_seconds(req.prompt_len - cached, cached)
             self._record(
                 now, EventType.PREFIX_HIT, req.request_id,
-                cached=cached, prompt=req.prompt_len, saved_seconds=saved,
+                cached=cached, prompt=req.prompt_len,
+                saved_seconds=full - suffix,
             )
         return cached
 
@@ -367,7 +371,12 @@ class ServerInstance:
         """Live KV-token occupancy (reserve admission: the peaks held)."""
         pre = self._prefilling
         if self._dynamic:
-            live = sum(self._live_tokens(r) for r in self._running)
+            if self._per_member:
+                live = sum(self._live_tokens(r) for r in self._running)
+            else:
+                # a running member holds 1 <= generated <= response, so
+                # its live footprint is prompt + generated: its _kv_sum term
+                live = self._kv_sum
             return live + (pre.prefilled if pre is not None else 0)
         return self._peak_sum + (
             self._request_tokens(pre) if pre is not None else 0
@@ -562,26 +571,21 @@ class ServerInstance:
             and req.prompt_len - cached > self.chunk_size
         ):
             return self._admit_chunked(now, req, cached)
-        if cached:
-            # only the uncached suffix runs; the resident prefix is
-            # attended over, not recomputed (prefill_chunk prices that)
-            cost = self.cost_model.prefill_chunk(
-                1, req.prompt_len - cached, cached, self.comp
-            )
-        else:
-            cost = self.cost_model.prefill(1, req.prompt_len, self.comp)
-        if cost.oom:
+        # only the uncached suffix runs; the resident prefix is attended
+        # over, not recomputed
+        seconds = self.prefill_seconds(req.prompt_len - cached, cached)
+        if seconds == _INF:
             self._reject(now, req, need)
             self._schedule_wake(now)
             return True
         self._dequeue(req)
         req.prefill_start = now
         self._record_admit(now, req)
-        data = {"seconds": cost.seconds, "prompt": req.prompt_len}
+        data = {"seconds": seconds, "prompt": req.prompt_len}
         if cached:
             data["cached"] = cached
         self._record(now, EventType.PREFILL, req.request_id, **data)
-        end = now + cost.seconds
+        end = now + seconds
         self._prefix_insert(req)
         self._prefilled(req, end)
         self._schedule_wake(end)
@@ -605,10 +609,8 @@ class ServerInstance:
         """Run the next chunk of the in-progress prefill."""
         req = self._prefilling
         chunk = min(self.chunk_size, req.prompt_len - req.prefilled)
-        cost = self.cost_model.prefill_chunk(
-            1, chunk, req.prefilled, self.comp
-        )
-        if cost.oom:
+        seconds = self.prefill_seconds(chunk, req.prefilled)
+        if seconds == _INF:
             # a later chunk can OOM on activation memory even when the
             # first fit; the request can never complete here — drop it
             self._prefilling = None
@@ -620,11 +622,11 @@ class ServerInstance:
             )
             self._schedule_wake(now)
             return
-        end = now + cost.seconds
+        end = now + seconds
         req.prefilled += chunk
         self._record(
             now, EventType.PREFILL_CHUNK, req.request_id,
-            seconds=cost.seconds, chunk=chunk,
+            seconds=seconds, chunk=chunk,
             prefilled=req.prefilled, prompt=req.prompt_len,
         )
         if req.prefilled >= req.prompt_len:
@@ -707,6 +709,25 @@ class ServerInstance:
         """
         return int(self._kv_sum / len(self._running))
 
+    def prefill_seconds(
+        self, tokens: int, prefix: int = 0, batch: int = 1
+    ) -> float:
+        """Seconds of one prefill pass of ``tokens`` new tokens per
+        sequence over a ``prefix`` of cached ones, for ``batch``
+        sequences; ``inf`` when it does not fit in memory.
+
+        Memoized per instance (the price is a pure function of its
+        arguments): admission, each chunk, the prefix-hit saving and a
+        router's candidate scoring all read the same entries.
+        """
+        key = (batch, tokens, prefix)
+        seconds = self._prefill_cache.get(key)
+        if seconds is None:
+            seconds = self._prefill_cache[key] = self.cost_model.prefill_chunk(
+                batch, tokens, prefix, self.comp
+            ).seconds
+        return seconds
+
     def _step_seconds(self, batch: int, kv: int) -> float:
         prices = self._step_cache.get(batch)
         if prices is None:
@@ -761,8 +782,9 @@ class ServerInstance:
         ``_min_left``, the step prices are consecutive memo entries from
         the aggregate KV sum, the clocks are their running sum, the
         budget-overflow horizon (dynamic admission) comes from the
-        batch's cumulative KV growth, and the trace and telemetry each
-        get one call for the whole burst.
+        batch's KV growth — ``batch`` tokens per step from ``_kv_sum``
+        without a sparse budget, member by member with one — and the
+        trace and telemetry each get one call for the whole burst.
 
         Returns ``(steps_ran, clock, stop)``; ``stop`` means the block
         is over (a finish, or an arrival at or before a step's end: that
@@ -781,7 +803,8 @@ class ServerInstance:
         extra = (
             self._prefilling.prefilled if self._prefilling is not None else 0
         )
-        if self._dynamic:
+        kv_sum = self._kv_sum
+        if self._per_member:
             # pre-step budget check for step j: every member grows one
             # KV token per step, capped at its peak — find the horizon
             # where the batched footprint first overflows
@@ -799,14 +822,20 @@ class ServerInstance:
                     if int(np.minimum(base + (j + 1), peak).sum()) > budget:
                         k = j
                         break
-            if k <= 0:
-                return 0, clock, False  # _make_room preempts first
+        elif self._dynamic:
+            # no member reaches its peak within fin steps, so the
+            # footprint after step j is kv_sum + batch * j: the first
+            # overflowing step is one past the floor division
+            fits = (self.token_budget - extra - kv_sum) // batch
+            if fits < k:
+                k = fits
+        if k <= 0:
+            return 0, clock, False  # _make_room preempts first
         # every member grows one token per step, so the truncated KV
         # mean rises by exactly one: int((S + j*b) / b) == int(S / b) + j
         # for exact ints, and step j is priced at (batch, kv0 + j)
         kv0 = self._decode_kv_len()
         next_arr = self._future[0] if self._future else None
-        inf = float("inf")
         prices = self._step_cache.get(batch, {})
         dts = list(map(prices.get, range(kv0, kv0 + k)))
         if None in dts:
@@ -816,14 +845,14 @@ class ServerInstance:
             for j, dt in enumerate(dts):
                 if dt is None:
                     dt = dts[j] = self._step_seconds(batch, kv0 + j)
-                if dt == inf:
+                if dt == _INF:
                     break
                 end += dt
                 if next_arr is not None and next_arr <= end:
                     break
             del dts[j + 1:]
-        if inf in dts:
-            del dts[dts.index(inf):]  # _make_room evicts or drops
+        if _INF in dts:
+            del dts[dts.index(_INF):]  # _make_room evicts or drops
         if not dts:
             return 0, clock, False
         # the step clocks, added left to right exactly as clock += dt
@@ -846,13 +875,18 @@ class ServerInstance:
         trace, tel = self._trace, self._telemetry
         if trace is not None or tel is not None:
             kvs = range(kv0, kv0 + executed)
-            if self._dynamic:
+            if self._per_member:
                 steps = np.arange(1, executed + 1)
                 used = [
                     int(u) + extra
                     for u in np.minimum(
                         base[None, :] + steps[:, None], peak
                     ).sum(axis=1)
+                ]
+            elif self._dynamic:
+                # each step adds one token per member (see the horizon)
+                used = [
+                    kv_sum + batch * j + extra for j in range(1, executed + 1)
                 ]
             else:
                 used = self.used_tokens  # the ledger: constant per burst
@@ -886,10 +920,10 @@ class ServerInstance:
         if self._dynamic:
             while self._overflow() and self._evict_victim(clock):
                 evicted = True
-        inf = float("inf")
-        while self._step_seconds(len(self._running), self._decode_kv_len()) == inf:
+        running = self._running
+        while self._step_seconds(len(running), self._decode_kv_len()) == _INF:
             if not self._evict_victim(clock):
-                victim = self._leave(self.scheduler.victim(self._running, clock))
+                victim = self._leave(self.scheduler.victim(running, clock))
                 victim.rejected = True
                 self._record(
                     clock, EventType.REJECT, victim.request_id,
@@ -907,14 +941,19 @@ class ServerInstance:
         The footprint counted is the one *after* the step (each running
         request writes one more KV token) plus the partially-prefilled
         request's, so the step that executes is guaranteed to fit.
+        Without a sparse budget no member is at its peak here (a member
+        that reached it finished and left), so each adds exactly one.
         """
-        live = sum(
-            min(
-                r.prompt_len + max(1, r.generated) + 1,
-                self._request_tokens(r),
+        if self._per_member:
+            live = sum(
+                min(
+                    r.prompt_len + max(1, r.generated) + 1,
+                    self._request_tokens(r),
+                )
+                for r in self._running
             )
-            for r in self._running
-        )
+        else:
+            live = self._kv_sum + len(self._running)
         if self._prefilling is not None:
             live += self._prefilling.prefilled
         return live > self.token_budget
@@ -959,29 +998,39 @@ class ServerInstance:
         self._form_static_batch(now)
 
     def _form_static_batch(self, now: float) -> None:
+        """Form a batch in the policy's order while the peaks fit the
+        budget and the padded batch's last decode step — every member
+        at the widest prompt plus the longest response, less the token
+        the prefill emits — fits in memory (its price is finite: the
+        steps before it hold less KV).  A lone request always fits, its
+        peak being within the budget."""
         if not self._waiting.requests:
             return  # idle until the next arrival
         batch: List[ServingRequest] = []
-        used = 0
+        used = widest = longest = 0
         pool = self._waiting.copy()
         while pool.requests and len(batch) < self.max_batch:
             req = self.scheduler.select(pool, now)
             need = self._request_tokens(req)
             if used + need > self.token_budget:
                 break  # head-of-line: keep the policy's ordering
+            wide = max(widest, req.prompt_len)
+            long = max(longest, req.response_len)
+            if self._step_seconds(len(batch) + 1, wide + long - 1) == _INF:
+                break  # head-of-line, as for the budget
             pool.remove(req, need)
             used += need
+            widest, longest = wide, long
             batch.append(req)
         if not batch:
             return
-        max_prompt = max(r.prompt_len for r in batch)
-        cost = self.cost_model.prefill(len(batch), max_prompt, self.comp)
-        if cost.oom:
-            widest = max(batch, key=lambda r: r.prompt_len)
-            self._reject(now, widest, self._request_tokens(widest))
+        seconds = self.prefill_seconds(widest, batch=len(batch))
+        if seconds == _INF:
+            req = max(batch, key=lambda r: r.prompt_len)
+            self._reject(now, req, self._request_tokens(req))
             self._schedule_wake(now)
             return
-        end = now + cost.seconds
+        end = now + seconds
         for r in batch:
             self._dequeue(r)
             r.prefill_start = now
@@ -990,7 +1039,7 @@ class ServerInstance:
             r.generated = 1 if r.response_len > 0 else 0
         self._record(
             now, EventType.PREFILL,
-            seconds=cost.seconds, batch=len(batch), prompt=max_prompt,
+            seconds=seconds, batch=len(batch), prompt=widest,
         )
         # every finish comes first: an on_finish hook sees the batch as
         # not yet running
@@ -1002,7 +1051,7 @@ class ServerInstance:
                 self._join(r)
         self._sbatch_size = len(batch)
         self._sstep = 0
-        self._smax_prompt = max_prompt
+        self._smax_prompt = widest
         self._schedule_wake(end)
 
     def _static_decode(self, now: float) -> None:

@@ -8,14 +8,20 @@ publishing surface the serving components call:
   records (fed from ``ServerInstance._record``); folds the event into
   counters and histograms (TTFT, TBOT, queue delay, prefill/step
   seconds, SLO misses, prefix reuse).
-- ``sample_instance(now, inst)`` — per-wake-up gauges: queue depth,
-  running batch, KV occupancy; also appended to the dashboard series.
-- ``on_loop(now, pending, fired)`` — event-loop health gauges.
+- ``sample_instance(now, inst)`` — per-wake-up gauges: queue depth
+  and running batch; also appended to the dashboard series.
+- ``on_loop(now, pending, fired)`` — event-loop health gauges, and the
+  trace-buffer gauges of every sampled instance on the loop's sampling
+  tick.
 - ``on_route(instance)``    — router decision counter.
 - ``on_prefix_lookup`` / ``sample_prefix`` — prefix-index hit/miss
   counters and residency gauges.
 - ``sample_store(store)``   — :class:`~repro.kvcache.paged.PagedStore`
   occupancy/copy/eviction gauges.
+
+Series points are samples taken when a hook runs: ``queue_depth`` and
+``running`` get one per wake-up, ``kv_occupancy`` one per decode burst
+(its last step), ``loop_pending`` one per 16 loop events.
 
 Instrumentation is **opt-in**: every component takes ``telemetry=None``
 and skips publishing entirely when unset, so a run without telemetry is
@@ -56,13 +62,14 @@ class _InstHot:
     ``on_decode_steps`` runs once per decode burst and
     ``sample_instance`` once per wake-up; resolving the metric series /
     value dicts once per instance lets them update with plain dict/list
-    ops instead of a chain of method calls.
+    ops instead of a chain of method calls.  ``trace`` is the trace the
+    instance last recorded into, read by ``on_loop``'s sample.
     """
 
     __slots__ = (
         "ik", "buckets", "bounds", "step", "batch_values", "gen_values",
         "kv_values", "kv_pts", "ev_decode", "qd_values", "run_values",
-        "qd_pts", "run_pts", "trace_values",
+        "qd_pts", "run_pts", "trace_values", "trace",
     )
 
     def __init__(self, tel: "Telemetry", inst: str) -> None:
@@ -88,6 +95,7 @@ class _InstHot:
             tel.trace_events._values, tel.trace_capacity._values,
             tel.trace_buffer_bytes._values, tel.trace_dropped._values,
         )
+        self.trace = None
 
 
 class Telemetry:
@@ -377,7 +385,8 @@ class Telemetry:
         histogram land in one update per burst instead of one per
         step — and, one step at a time, by :meth:`on_event`.
         ``used_tokens`` is a scalar or a per-step sequence, as in the
-        trace call.
+        trace call; the ``kv_occupancy`` gauge and series take the
+        burst's last step.
         """
         k = len(times)
         if k == 0:
@@ -408,26 +417,18 @@ class Telemetry:
         ik = hot.ik
         hot.batch_values[ik] = float(batch)
         hot.gen_values[ik] = hot.gen_values.get(ik, 0.0) + float(batch) * k
-        mb = max(1, token_budget)
-        pts = hot.kv_pts
-        lim = 2 * self.series_limit
         if isinstance(used_tokens, (list, tuple)):
-            occ = 0.0
-            for t, u in zip(times, used_tokens):
-                occ = u / mb
-                pts.append((t, occ))
-                if len(pts) > lim:
-                    pts[:] = pts[::2]
-        else:
-            occ = used_tokens / mb
-            for t in times:
-                pts.append((t, occ))
-                if len(pts) > lim:
-                    pts[:] = pts[::2]
+            used_tokens = used_tokens[-1]
+        occ = used_tokens / max(1, token_budget)
         hot.kv_values[ik] = occ
+        pts = hot.kv_pts
+        pts.append((times[-1], occ))
+        if len(pts) > 2 * self.series_limit:
+            pts[:] = pts[::2]
 
     def sample_instance(self, now: float, inst) -> None:
-        """Per-wake-up gauges from live ``ServerInstance`` state."""
+        """Per-wake-up gauges from live ``ServerInstance`` state (its
+        trace's buffer gauges follow on the loop's sampling tick)."""
         name = inst.name
         hot = self._hot.get(name)
         if hot is None:
@@ -447,17 +448,12 @@ class Telemetry:
         pts.append((now, running))
         if len(pts) > lim:
             pts[:] = pts[::2]
-        trace = inst._trace
-        if trace is not None:
-            # Trace.memory_stats() fields, read without building its dict
-            events, capacity, nbytes, dropped = hot.trace_values
-            events[ik] = float(trace._n)
-            capacity[ik] = float(trace._cap)
-            nbytes[ik] = float(trace._buffer_bytes)
-            dropped[ik] = float(trace.dropped_events)
+        hot.trace = inst._trace
 
     def on_loop(self, now: float, pending: int, fired: int) -> None:
-        """Event-loop health; series sampled every 16th event."""
+        """Event-loop health.  The ``loop_pending`` series is sampled
+        every 16th event; the trace gauges then and when the loop
+        drains."""
         now_v, pending_v, fired_v = self._loop_values
         now_v[()] = now
         pending_v[()] = float(pending)
@@ -472,6 +468,18 @@ class Telemetry:
             pts.append((now, pending))
             if len(pts) > 2 * self.series_limit:
                 pts[:] = pts[::2]  # decimate: halve resolution, keep the span
+        elif pending:
+            return
+        for hot in self._hot.values():
+            trace = hot.trace
+            if trace is not None:
+                # Trace.memory_stats() fields, read without its dict
+                events, capacity, nbytes, dropped = hot.trace_values
+                ik = hot.ik
+                events[ik] = float(trace._n)
+                capacity[ik] = float(trace._cap)
+                nbytes[ik] = float(trace._buffer_bytes)
+                dropped[ik] = float(trace.dropped_events)
 
     def on_route(self, instance: str) -> None:
         self.routed.inc(instance=instance)

@@ -14,20 +14,31 @@ chunked (under both admission modes) and prefix-cache admission,
 (also under the slack policy, whose requeued victims wait under
 TBOT-milestone deadlines), ``_make_room``'s evictions and OOM drop, a
 router's verify-and-fallback re-decode, and static batches formed under
-the priority and slack policies — with every wake-up checked against a
-rescan.  Every decode burst that follows ``_make_room`` must run exactly
-one step: the one room was made for.
+the priority and slack policies, dynamic admission under a sparse KV
+budget — with every wake-up checked against a rescan.  Without a sparse
+budget the dynamic footprint and ``_overflow()`` read ``_kv_sum``; both
+are checked against the per-member formula.  Every decode burst that
+follows ``_make_room`` must run exactly one step: the one room was made
+for.  After each run every memoized prefill price must equal a fresh
+``prefill_chunk`` price.
+
+A hypothesis test drives ``_decode_burst`` directly on random running
+batches and checks its overflow horizon and per-step footprint against
+the per-member NumPy formula the aggregates replaced.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.compression import NoCompression, create
 from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
-from repro.model.arch import LLAMA_7B
+from repro.model.arch import LLAMA_7B, LLAMA_13B
 from repro.serving import (
     DisaggFleet,
+    EventLoop,
     EventType,
     PrefixIndex,
     RoutedRequest,
@@ -42,8 +53,19 @@ from repro.serving import (
 FP16 = NoCompression().cost_spec()
 
 
-def instance(comp=FP16, engine=LMDEPLOY, **kw):
-    return ServerInstance(ServingCostModel(LLAMA_7B, A6000, engine), comp, **kw)
+def instance(comp=FP16, engine=LMDEPLOY, arch=LLAMA_7B, **kw):
+    return ServerInstance(ServingCostModel(arch, A6000, engine), comp, **kw)
+
+
+def live_footprint(inst, step=0):
+    """The dynamic footprint ``step`` decode steps ahead, member by
+    member: each holds prompt + generated, capped at its peak."""
+    live = sum(
+        min(r.prompt_len + max(1, r.generated) + step, inst._request_tokens(r))
+        for r in inst._running
+    )
+    pre = inst._prefilling
+    return live + (pre.prefilled if pre is not None else 0)
 
 
 @pytest.fixture
@@ -56,8 +78,11 @@ def room_steps():
 def wakes(monkeypatch, room_steps):
     """Check the aggregates against a rescan after every wake-up, and
     that each burst after ``_make_room`` runs one step; returns the
-    list of checked wake-ups (instance names)."""
+    list of checked wake-ups (instance names).  After the test, every
+    woken instance's memoized prefill prices are checked against fresh
+    ones."""
     checked = []
+    woken = {}
     wake = ServerInstance._wake
     make_room = ServerInstance._make_room
     burst = ServerInstance._decode_burst
@@ -88,10 +113,10 @@ def wakes(monkeypatch, room_steps):
             self.admission == "dynamic"
             and self.cost_model.engine.supports_continuous_batching
         ):
-            used = sum(
-                min(r.prompt_len + max(1, r.generated), self._request_tokens(r))
-                for r in running
-            ) + (pre.prefilled if pre is not None else 0)
+            used = live_footprint(self)
+            # the test _make_room applies before the next step
+            overflow = live_footprint(self, step=1) > self.token_budget
+            assert self._overflow() == overflow
         else:
             used = peaks + (self._request_tokens(pre) if pre is not None else 0)
         assert self.used_tokens == used
@@ -113,11 +138,18 @@ def wakes(monkeypatch, room_steps):
         ]
         assert queue.keys == sorted(queue.keys)
         checked.append(self.name)
+        woken[id(self)] = self
 
     monkeypatch.setattr(ServerInstance, "_wake", checked_wake)
     monkeypatch.setattr(ServerInstance, "_make_room", checked_make_room)
     monkeypatch.setattr(ServerInstance, "_decode_burst", checked_burst)
-    return checked
+    yield checked
+    for inst in woken.values():
+        for (batch, tokens, prefix), seconds in inst._prefill_cache.items():
+            fresh = inst.cost_model.prefill_chunk(
+                batch, tokens, prefix, inst.comp
+            )
+            assert seconds == fresh.seconds
 
 
 def stream(n, seed, prompt=(256, 2048), resp=(8, 160), rate=4.0):
@@ -146,6 +178,21 @@ def test_dynamic_admission_with_preemption(wakes):
     res = instance(admission="dynamic").run(reqs, trace=trace)
     assert trace.counts()["PREEMPT"] > 0
     assert len(res.completed) == 24
+
+
+def test_dynamic_admission_under_sparse_budget(wakes):
+    # StreamingLLM keeps 512 prompt tokens: prompts over it hold their
+    # capped peak from admission, shorter ones reach it mid-decode, and
+    # on LLaMA-13B the batch's steps run out of memory and preempt
+    reqs = stream(56, seed=5, prompt=(64, 2048), resp=(64, 512), rate=40.0)
+    comp = create("stream-512").cost_spec()
+    inst = instance(comp, arch=LLAMA_13B, admission="dynamic")
+    trace = Trace()
+    res = inst.run(reqs, trace=trace)
+    assert trace.counts()["PREEMPT"] > 0
+    assert any(r.prompt_len > 512 + r.response_len for r in reqs)
+    assert any(r.prompt_len < 512 for r in reqs)
+    assert len(res.completed) == 56
 
 
 def slo_stream(n, seed, prompt, resp, spacing):
@@ -182,6 +229,7 @@ def test_static_batches_formed_by_policy(wakes, policy):
     inst = instance(engine=TRL, scheduler=make_policy(policy), max_batch=8)
     res = inst.run(reqs, trace=trace)
     assert trace.counts()["PREFILL"] < 40  # batches of more than one
+    assert any(batch > 1 for batch, _, _ in inst._prefill_cache)
     assert len(res.completed) == 40
 
 
@@ -251,6 +299,8 @@ def test_chunked_prefill_with_prefix_hits(wakes):
     counts = trace.counts()
     assert counts["PREFIX_HIT"] > 0 and counts["PREFILL_CHUNK"] > 0
     assert counts.get("PREFILL", 0) > 0  # short suffixes prefill in one shot
+    # suffixes and later chunks are priced over a cached prefix
+    assert any(prefix > 0 for _, _, prefix in inst._prefill_cache)
     assert len(res.completed) == 16
 
 
@@ -307,3 +357,85 @@ def test_router_fallback_redecode(wakes):
     res = router.serve_online(reqs, trace=trace)
     assert res.fallbacks
     assert trace.counts()["FALLBACK"] == len(res.fallbacks)
+
+
+# ----------------------------------------------------------------------
+# the overflow horizon and per-step footprint against the member scan
+# ----------------------------------------------------------------------
+def member_horizon(base, peak, k, budget):
+    """Steps a burst of at most ``k`` runs before its footprint would
+    overflow ``budget``, and the footprint after each: every member
+    grows one KV token per step, capped at its peak (the per-member
+    formula ``_decode_burst`` used before the aggregates)."""
+    if int(peak.sum()) > budget:
+        for j in range(k):
+            if int(np.minimum(base + (j + 1), peak).sum()) > budget:
+                k = j
+                break
+    steps = np.arange(1, k + 1)
+    used = np.minimum(base[None, :] + steps[:, None], peak).sum(axis=1)
+    return k, [int(u) for u in used]
+
+
+_BURST_INSTANCE = []
+
+
+def burst_instance():
+    """One FP16 dynamic instance, built once (its budget is searched)."""
+    if not _BURST_INSTANCE:
+        _BURST_INSTANCE.append(instance(admission="dynamic"))
+    return _BURST_INSTANCE[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    members=st.lists(
+        st.tuples(
+            st.integers(1, 4000),  # prompt
+            st.integers(2, 600),  # response
+            st.floats(0.0, 1.0, exclude_max=True),  # generated fraction
+        ),
+        min_size=1, max_size=12,
+    ),
+    prefilled=st.one_of(st.none(), st.integers(1, 3000)),
+    max_steps=st.integers(1, 8),
+    ahead=st.integers(-1, 9),
+    offset=st.integers(-12, 12),
+)
+def test_burst_horizon_matches_member_formula(
+    members, prefilled, max_steps, ahead, offset
+):
+    inst = burst_instance()
+    trace = Trace()
+    inst.attach(EventLoop(), trace)
+    for i, (prompt, response, frac) in enumerate(members):
+        req = ServingRequest(f"m{i}", 0.0, prompt, response)
+        req.generated = 1 + int(frac * (response - 1))  # 1 <= g < response
+        inst._join(req)
+    extra = 0
+    if prefilled is not None:
+        inst._prefilling = ServingRequest("pre", 0.0, prefilled + 1, 8)
+        inst._prefilling.prefilled = extra = prefilled
+    running = inst._running
+    base = np.array([r.prompt_len + r.generated for r in running])
+    peak = np.array([r.prompt_len + r.response_len for r in running])
+    # a budget about ``ahead`` steps past the footprint, so the horizon
+    # binds at every step of a burst
+    inst.token_budget = (
+        int(base.sum()) + extra + len(running) * ahead + offset
+    )
+    assert inst.used_tokens == int(base.sum()) + extra
+    assert inst._overflow() == (
+        int(np.minimum(base + 1, peak).sum()) + extra > inst.token_budget
+    )
+    # price every step (no OOM), so only the horizon can stop the burst
+    kv0 = inst._decode_kv_len()
+    inst._step_cache[len(running)] = {kv: 0.01 for kv in range(kv0, kv0 + 9)}
+    fin = min(r.response_len - r.generated for r in running)
+    want, used = member_horizon(
+        base, peak, min(fin, max_steps), inst.token_budget - extra
+    )
+    ran, _, _ = inst._decode_burst(0.0, max_steps)
+    assert ran == want
+    steps = trace.of_kind(EventType.DECODE_STEP)
+    assert [e.data["used_tokens"] for e in steps] == [u + extra for u in used]

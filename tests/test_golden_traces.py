@@ -1,11 +1,12 @@
 """Golden serving traces: every consumer surface pinned per scenario.
 
-Ten seeded single-instance scenarios (core, dynamic admission,
-chunked prefill, SLO slack, SLO slack under preempting dynamic
-admission, priority, priority under TRL static batching,
-shortest-first, prefix caching, telemetry-instrumented), each at seeds
-0 and 1, run on the columnar :class:`Trace` and must match their entry
-in ``tests/golden/traces.json`` exactly:
+Eleven seeded single-instance scenarios (core, dynamic admission,
+dynamic admission under a sparse KV budget, chunked prefill, SLO slack,
+SLO slack under preempting dynamic admission, priority, priority under
+TRL static batching, shortest-first, prefix caching,
+telemetry-instrumented), each at seeds 0 and 1, run on the columnar
+:class:`Trace` and must match their entry in
+``tests/golden/traces.json`` exactly:
 
 - the event count, ``counts()`` and ``request_ids()``;
 - the sha256 of the header-less ``dump_jsonl`` bytes (every payload
@@ -44,10 +45,10 @@ import tempfile
 import numpy as np
 import pytest
 
-from repro.compression import NoCompression
+from repro.compression import NoCompression, create
 from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
-from repro.model.arch import LLAMA_7B
+from repro.model.arch import LLAMA_7B, LLAMA_13B
 from repro.serving import (
     PrefixIndex,
     ServerInstance,
@@ -74,9 +75,9 @@ SCALE_BENCH = ROOT / "benchmarks" / "test_serving_scale.py"
 FP16 = NoCompression().cost_spec()
 
 
-def instance(engine=LMDEPLOY, **kw):
-    cm = ServingCostModel(LLAMA_7B, A6000, engine)
-    return ServerInstance(cm, FP16, **kw)
+def instance(engine=LMDEPLOY, comp=FP16, arch=LLAMA_7B, **kw):
+    cm = ServingCostModel(arch, A6000, engine)
+    return ServerInstance(cm, comp, **kw)
 
 
 def workload(
@@ -114,6 +115,14 @@ def workload(
 SCENARIOS = {
     "core": dict(kw=dict(max_batch=8)),
     "dynamic": dict(kw=dict(admission="dynamic", max_batch=16)),
+    # StreamingLLM keeps at most 512 prompt tokens, so each member's
+    # footprint is capped at its own peak (from admission for prompts
+    # over the budget); on LLaMA-13B the batch's steps run out of
+    # memory and preempt
+    "dynamic-sparse": dict(
+        kw=dict(admission="dynamic", max_batch=64), algo="stream-512",
+        arch=LLAMA_13B, shape=dict(n=48, prompt=(512, 2048), resp=(64, 512)),
+    ),
     "chunked": dict(kw=dict(chunk_size=64, max_batch=8)),
     "slo": dict(kw=dict(scheduler=make_policy("slo"), max_batch=8), slo=True),
     # long prompts and responses overrun the KV budget mid-decode, so
@@ -157,7 +166,11 @@ def run(name, seed):
         kw["prefix_cache"] = PrefixIndex(block_size=16)
     tel = Telemetry() if spec.get("telemetry") else None
     trace = Trace()
-    instance(spec.get("engine", LMDEPLOY), **kw).run(
+    if "algo" in spec:
+        kw["comp"] = create(spec["algo"]).cost_spec()
+    instance(
+        spec.get("engine", LMDEPLOY), arch=spec.get("arch", LLAMA_7B), **kw
+    ).run(
         copy.deepcopy(scenario_requests(name, seed)), trace=trace,
         telemetry=tel,
     )

@@ -198,6 +198,39 @@ class TestOversizedRejection:
         assert len(res.e2e) == 2
 
 
+class TestStaticBatchMemoryGuard:
+    """A static batch is padded to its widest prompt and decodes until
+    its longest response: the budget check on the sum of peaks let
+    batches form whose padded steps the memory model rejects, so they
+    were priced ``inf`` and the clock ran to infinity."""
+
+    def test_padded_steps_are_never_priced_inf(self):
+        rng = np.random.default_rng(9)
+        arrivals = np.cumsum(rng.exponential(1 / 10.0, size=50))
+        reqs = [
+            ServingRequest(
+                f"r{i}", float(arrivals[i]), int(rng.integers(16, 6000)),
+                int(rng.integers(0, 300)),
+            )
+            for i in range(50)
+        ]
+        inst = instance(engine=TRL, max_batch=16)
+        trace = Trace()
+        res = inst.run(reqs, trace=trace)
+        steps = trace.of_kind(EventType.DECODE_STEP)
+        assert steps and all(np.isfinite(e.data["seconds"]) for e in steps)
+        assert not res.rejected
+        assert all(np.isfinite(r.finish) for r in res.requests)
+        # the guard cut batches short of the budget-only admission
+        assert max(e.data["batch"] for e in steps) < 16
+
+    def test_lone_request_always_forms_a_batch(self):
+        inst = instance(engine=TRL)
+        req = ServingRequest("big", 0.0, inst.token_budget - 64, 64)
+        res = inst.run([req])
+        assert res.completed == [req] and np.isfinite(req.finish)
+
+
 class TestMidBlockRepricing:
     """A request finishing inside a decode block must re-price its
     peers' subsequent steps for the new membership, and every step must

@@ -286,9 +286,10 @@ class TestTelemetrySink:
             )
         batched.on_decode_steps("i0", times, 4, kvs, secs, used, 4096)
         assert per_event.snapshot() == batched.snapshot()
+        # the series is sampled once per call: a burst keeps its last step
         assert (
-            per_event.series[("i0", "kv_occupancy")]
-            == batched.series[("i0", "kv_occupancy")]
+            batched.series[("i0", "kv_occupancy")]
+            == per_event.series[("i0", "kv_occupancy")][-1:]
         )
 
     def test_trace_buffer_gauges(self):
@@ -306,6 +307,75 @@ class TestTelemetrySink:
         assert tel.trace_dropped.value(instance="") == 0
         snap = tel.snapshot()
         assert "serving_trace_buffer_bytes" in snap
+
+
+class TestSampling:
+    """Series points are samples taken when a hook runs: one
+    ``kv_occupancy`` point per decode burst (its last step), and the
+    trace-buffer gauges on the event loop's sampling tick."""
+
+    @pytest.mark.parametrize("used", [[500, 516, 532], 532])
+    def test_one_occupancy_point_per_burst(self, used):
+        tel = Telemetry()
+        times = [0.1, 0.2, 0.3]
+        tel.on_decode_steps("i0", times, 4, [100, 104, 108],
+                            [0.01, 0.5, 0.012], used, 4096)
+        tel.on_decode_steps("i0", [0.4], 4, [112], [0.01], [548], 4096)
+        assert tel.series[("i0", "kv_occupancy")] == [
+            (0.3, 532 / 4096), (0.4, 548 / 4096),
+        ]
+        assert tel.kv_occupancy.value(instance="i0") == 548 / 4096
+
+    def test_continuous_points_are_burst_ends(self):
+        trace, tel = Trace(), Telemetry()
+        reqs = requests(12, prompt=512, resp=64, spacing=0.05)
+        instance(admission="dynamic", max_batch=8).run(
+            reqs, trace=trace, telemetry=tel
+        )
+        steps = {
+            e.time: e.data["used_tokens"] / e.data["token_budget"]
+            for e in trace.of_kind(EventType.DECODE_STEP)
+        }
+        pts = tel.series[("", "kv_occupancy")]
+        # bursts run several steps: fewer points than steps, each one
+        # a recorded step's occupancy, the last one the run's last step
+        assert 0 < len(pts) < len(steps)
+        assert all(steps[t] == occ for t, occ in pts)
+        assert pts[-1] == max(steps.items())
+
+    def test_static_steps_keep_one_point_each(self):
+        cm = ServingCostModel(LLAMA_7B, A6000, TRL)
+        trace, tel = Trace(), Telemetry()
+        reqs = [
+            ServingRequest(f"r{i}", 0.1 * i, 128, 8 + 16 * i)
+            for i in range(6)
+        ]
+        ServerInstance(cm, FP16, max_batch=4).run(
+            reqs, trace=trace, telemetry=tel
+        )
+        assert tel.series[("", "kv_occupancy")] == [
+            (e.time, e.data["used_tokens"] / e.data["token_budget"])
+            for e in trace.of_kind(EventType.DECODE_STEP)
+        ]
+
+    def test_fleet_trace_gauges_read_the_shared_trace(self):
+        from repro.serving import DisaggFleet
+
+        trace, tel = Trace(), Telemetry()
+        fleet = DisaggFleet([instance(), instance()], [instance()])
+        reqs = [
+            ServingRequest(f"d{i}", 0.05 * i, 512 + 64 * i, 24 + 8 * (i % 3))
+            for i in range(12)
+        ]
+        fleet.serve(reqs, trace=trace, telemetry=tel)
+        stats = trace.memory_stats()
+        for name in ("pf0", "pf1", "dec0"):
+            assert tel.trace_events.value(instance=name) == stats["events"]
+            assert tel.trace_capacity.value(instance=name) == stats["capacity"]
+            assert (
+                tel.trace_buffer_bytes.value(instance=name)
+                == stats["buffer_bytes"]
+            )
 
 
 # ----------------------------------------------------------------------
