@@ -718,14 +718,21 @@ class ServerInstance:
 
         Memoized per instance (the price is a pure function of its
         arguments): admission, each chunk, the prefix-hit saving and a
-        router's candidate scoring all read the same entries.
+        router's candidate scoring all read the same entries.  A pass
+        from an empty cache is priced as the cost model's single-shot
+        ``prefill`` (bit for bit its ``prefill_chunk`` at prefix 0), so
+        profiles of the cost model keep telling the two kinds apart.
         """
         key = (batch, tokens, prefix)
         seconds = self._prefill_cache.get(key)
         if seconds is None:
-            seconds = self._prefill_cache[key] = self.cost_model.prefill_chunk(
-                batch, tokens, prefix, self.comp
-            ).seconds
+            cm = self.cost_model
+            cost = (
+                cm.prefill_chunk(batch, tokens, prefix, self.comp)
+                if prefix
+                else cm.prefill(batch, tokens, self.comp)
+            )
+            seconds = self._prefill_cache[key] = cost.seconds
         return seconds
 
     def _step_seconds(self, batch: int, kv: int) -> float:

@@ -181,17 +181,18 @@ def test_dynamic_admission_with_preemption(wakes):
 
 
 def test_dynamic_admission_under_sparse_budget(wakes):
-    # StreamingLLM keeps 512 prompt tokens: prompts over it hold their
-    # capped peak from admission, shorter ones reach it mid-decode, and
-    # on LLaMA-13B the batch's steps run out of memory and preempt
+    # StreamingLLM caps a member at 512 + response tokens: prompts over
+    # that hold the cap from admission, prompts between 512 and it
+    # reach it mid-decode, and on LLaMA-13B the batch's steps run out
+    # of memory and preempt
     reqs = stream(56, seed=5, prompt=(64, 2048), resp=(64, 512), rate=40.0)
     comp = create("stream-512").cost_spec()
     inst = instance(comp, arch=LLAMA_13B, admission="dynamic")
     trace = Trace()
     res = inst.run(reqs, trace=trace)
     assert trace.counts()["PREEMPT"] > 0
-    assert any(r.prompt_len > 512 + r.response_len for r in reqs)
-    assert any(r.prompt_len < 512 for r in reqs)
+    assert any(r.prompt_len >= 512 + r.response_len for r in reqs)
+    assert any(512 < r.prompt_len < 512 + r.response_len for r in reqs)
     assert len(res.completed) == 56
 
 

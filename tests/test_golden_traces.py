@@ -115,10 +115,10 @@ def workload(
 SCENARIOS = {
     "core": dict(kw=dict(max_batch=8)),
     "dynamic": dict(kw=dict(admission="dynamic", max_batch=16)),
-    # StreamingLLM keeps at most 512 prompt tokens, so each member's
-    # footprint is capped at its own peak (from admission for prompts
-    # over the budget); on LLaMA-13B the batch's steps run out of
-    # memory and preempt
+    # StreamingLLM caps each member at 512 + response tokens (from
+    # admission when the prompt alone exceeds that, mid-decode when it
+    # is longer than 512), so the footprint is summed per member; on
+    # LLaMA-13B the batch's steps run out of memory and preempt
     "dynamic-sparse": dict(
         kw=dict(admission="dynamic", max_batch=64), algo="stream-512",
         arch=LLAMA_13B, shape=dict(n=48, prompt=(512, 2048), resp=(64, 512)),
