@@ -678,8 +678,8 @@ class Trace:
         """Ring-buffer residency for the telemetry memory gauges.
 
         O(1): ``buffer_bytes`` is maintained on growth, not summed here
-        — the gauges sample these counters on every instance wake-up
-        (``Telemetry.sample_instance`` reads them without this dict).
+        — the gauges sample these counters on the event loop's sampling
+        tick (``Telemetry.on_loop`` reads them without this dict).
         """
         return {
             "events": self._n,
