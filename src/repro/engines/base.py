@@ -12,12 +12,19 @@ at small batch, prefill is compute-bound, and every compression design
 choice shows up as either reduced KV traffic (the win) or extra passes /
 kernels / irregular access (the cost).  Tensor parallelism shards heads
 and MLP columns and adds two ring all-reduces per layer.
+
+Serving reads prices through one :class:`PriceTable` per compression
+spec (:meth:`ServingCostModel.prices`): every price is a pure function
+of the cost model, the spec and its arguments, so every instance built
+on one cost model shares the table of its spec, and the replicas of a
+deployment price each distinct step once between them.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from repro.compression.base import CompressionCostSpec
 from repro.hardware.interconnect import InterconnectSpec, allreduce_time
@@ -27,6 +34,7 @@ from repro.hardware.specs import GPUSpec
 from repro.model.arch import ArchSpec
 
 FP16_BYTES = 2
+_INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -77,6 +85,87 @@ class StageCost:
         )
 
 
+class PriceTable:
+    """Memoized serving prices of one compression spec on one deployment.
+
+    Holds decode-step seconds by batch and mean KV length, prefill
+    seconds by ``(batch, new tokens, cached prefix)``, and the KV-token
+    budget.  Built and kept by :meth:`ServingCostModel.prices`, so it
+    lives exactly as long as its cost model: a builder that shares one
+    cost model between the instances of a deployment shares the
+    prices, and a fresh cost model starts from an empty table.
+    """
+
+    def __init__(
+        self, model: "ServingCostModel", comp: CompressionCostSpec
+    ) -> None:
+        # weak: the model owns its tables, and a strong reference back
+        # would make a cycle that keeps a finished run's prices in
+        # memory until the garbage collector next runs
+        self._model = weakref.ref(model)
+        self.comp = comp
+        #: decode-step seconds: batch -> {mean KV length: seconds}
+        self.decode: Dict[int, Dict[int, float]] = {}
+        #: prefill seconds: (batch, new tokens, cached prefix) -> seconds
+        self.prefill: Dict[Tuple[int, int, int], float] = {}
+        self._token_budget: Optional[int] = None
+
+    def decode_seconds(self, batch: int, kv_len: int) -> float:
+        """Seconds of one decode step of ``batch`` sequences at mean KV
+        length ``kv_len``; ``inf`` when it does not fit in memory."""
+        prices = self.decode.get(batch)
+        if prices is None:
+            prices = self.decode[batch] = {}
+        seconds = prices.get(kv_len)
+        if seconds is None:
+            seconds = prices[kv_len] = self._model().decode_step(
+                batch, kv_len, self.comp
+            ).seconds
+        return seconds
+
+    def prefill_seconds(
+        self, tokens: int, prefix: int = 0, batch: int = 1
+    ) -> float:
+        """Seconds of one prefill pass of ``tokens`` new tokens per
+        sequence over a ``prefix`` of cached ones, for ``batch``
+        sequences; ``inf`` when it does not fit in memory.
+
+        A pass from an empty cache is priced as the single-shot
+        :meth:`ServingCostModel.prefill` (bit for bit its
+        ``prefill_chunk`` at prefix 0), so profiles of the cost model
+        keep telling the two kinds apart.
+        """
+        key = (batch, tokens, prefix)
+        seconds = self.prefill.get(key)
+        if seconds is None:
+            model = self._model()
+            cost = (
+                model.prefill_chunk(batch, tokens, prefix, self.comp)
+                if prefix
+                else model.prefill(batch, tokens, self.comp)
+            )
+            seconds = self.prefill[key] = cost.seconds
+        return seconds
+
+    @property
+    def token_budget(self) -> int:
+        """KV tokens of one sequence that fit alongside weights and
+        workspace, bisected over the memory model on first use."""
+        if self._token_budget is None:
+            model = self._model()
+            spec = model._memory_spec(self.comp)
+            mem = model.memory
+            lo, hi = 0, 4_000_000
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if mem.breakdown(spec, 1, mid).fits:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            self._token_budget = lo
+        return self._token_budget
+
+
 class ServingCostModel:
     """Prices serving stages for one (arch, gpu, engine, tp) deployment."""
 
@@ -104,6 +193,15 @@ class ServingCostModel:
         )
         self.memory = MemoryModel(arch, gpu, tp)
         self._memory_specs: Dict[tuple, KVMemorySpec] = {}
+        self._tables: Dict[CompressionCostSpec, PriceTable] = {}
+
+    def prices(self, comp: CompressionCostSpec) -> PriceTable:
+        """The price table of ``comp`` on this deployment, one per spec
+        (equal specs share it)."""
+        table = self._tables.get(comp)
+        if table is None:
+            table = self._tables[comp] = PriceTable(self, comp)
+        return table
 
     # ------------------------------------------------------------------
     def _fits(
@@ -453,9 +551,10 @@ class ServingCostModel:
     def decode_throughput(
         self, batch: int, kv_len: int, comp: CompressionCostSpec
     ) -> float:
-        """Decode tokens/second (0.0 on OOM)."""
-        cost = self.decode_step(batch, kv_len, comp)
-        return 0.0 if cost.oom else batch / cost.seconds
+        """Decode tokens/second (0.0 on OOM), from the memoized step
+        price :meth:`prices` holds."""
+        seconds = self.prices(comp).decode_seconds(batch, kv_len)
+        return 0.0 if seconds == _INF else batch / seconds
 
     def prefill_throughput(
         self, batch: int, prompt_len: int, comp: CompressionCostSpec

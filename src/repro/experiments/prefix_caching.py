@@ -130,10 +130,11 @@ def multi_turn_routed_stream() -> List[RoutedRequest]:
     return reqs
 
 
-def _serve_single(comp_name: str, prefix: bool):
-    """One instance serving the stream; returns (result, metrics)."""
+def _serve_single(cm, comp_name: str, prefix: bool):
+    """One instance on cost model ``cm`` serving the stream; returns
+    (result, metrics)."""
     inst = ServerInstance(
-        cost_model(),
+        cm,
         comp_spec(comp_name),
         prefix_cache=PrefixIndex() if prefix else None,
     )
@@ -142,14 +143,14 @@ def _serve_single(comp_name: str, prefix: bool):
     return res, StepMetrics.from_trace(trace)
 
 
-def _single_rows():
+def _single_rows(cm):
     rows, raw = [], []
     for label, comp_name, prefix in (
         ("fp16 / off", "fp16", False),
         ("fp16 / on", "fp16", True),
         ("kivi-4 / on", "kivi-4", True),
     ):
-        res, m = _serve_single(comp_name, prefix)
+        res, m = _serve_single(cm, comp_name, prefix)
         ttft = res.ttft
         rows.append(
             [
@@ -179,13 +180,11 @@ def _single_rows():
     return rows, raw
 
 
-def _routing_rows():
+def _routing_rows(cm):
     rows, raw = [], []
     for policy in (RoutingPolicy.LOAD_BALANCE, RoutingPolicy.PREFIX):
         instances = [
-            ServerInstance(
-                cost_model(), comp_spec("fp16"), prefix_cache=PrefixIndex()
-            )
+            ServerInstance(cm, comp_spec("fp16"), prefix_cache=PrefixIndex())
             for _ in range(2)
         ]
         router = Router(instances, ["fp16", "fp16"], policy)
@@ -216,8 +215,10 @@ def _routing_rows():
 
 def run(scale: Optional[float] = None) -> ExperimentResult:
     """Prefix caching off/on, compression friction, and affinity routing."""
-    single_rows, single_raw = _single_rows()
-    routing_rows, routing_raw = _routing_rows()
+    # one deployment: every instance below prices on one cost model
+    cm = cost_model()
+    single_rows, single_raw = _single_rows(cm)
+    routing_rows, routing_raw = _routing_rows(cm)
     result = ExperimentResult(
         name="Prefix caching — multi-turn TTFT and cache-affinity routing",
         description=(

@@ -138,20 +138,24 @@ def make_requests(
 
 
 def build_instances(n: int) -> List[ServerInstance]:
+    """``n`` replicas of the fleet's deployment on one cost model, so
+    they share its price table."""
+    model, comp = cost_model(), comp_spec(ALGO)
     return [
-        ServerInstance(cost_model(), comp_spec(ALGO), max_batch=MAX_BATCH)
-        for _ in range(n)
+        ServerInstance(model, comp, max_batch=MAX_BATCH) for _ in range(n)
     ]
 
 
 def build_fleet(kind: str) -> DisaggFleet:
-    """``static-N`` (monolithic) or ``disagg`` (autoscaled pools)."""
+    """``static-N`` (monolithic) or ``disagg`` (autoscaled pools); every
+    instance of the fleet shares one cost model."""
     if kind.startswith("static-"):
         return DisaggFleet([], build_instances(int(kind.split("-")[1])))
     if kind == "disagg":
+        instances = build_instances(PREFILL_POOL + DECODE_POOL)
         return DisaggFleet(
-            build_instances(PREFILL_POOL),
-            build_instances(DECODE_POOL),
+            instances[:PREFILL_POOL],
+            instances[PREFILL_POOL:],
             prefill_active=PREFILL_ACTIVE,
             decode_active=DECODE_ACTIVE,
             autoscaler=Autoscaler(**AUTOSCALER),

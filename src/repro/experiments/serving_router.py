@@ -189,10 +189,12 @@ def build_workload(
 
 
 def build_fleet(algos: Sequence[str]) -> List[ServerInstance]:
-    """Fresh instances (live per-run state: prefix caches, queues)."""
+    """Fresh instances (live per-run state: prefix caches, queues) on
+    one cost model: instances of one algorithm share its price table."""
+    model = cost_model()
     return [
         ServerInstance(
-            cost_model(), comp_spec(a), max_batch=MAX_BATCH,
+            model, comp_spec(a), max_batch=MAX_BATCH,
             prefix_cache=PrefixIndex(),
         )
         for a in algos

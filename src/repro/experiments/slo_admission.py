@@ -143,18 +143,18 @@ def _policy_rows(cm, comp):
     return rows, raw
 
 
-def _routing_rows():
+def _routing_rows(cm):
     rows, raw = [], []
     for policy in (RoutingPolicy.LOAD_BALANCE, RoutingPolicy.SLO):
         # both instances schedule by slack, so the comparison isolates
         # the *routing* decision
         instances = [
             ServerInstance(
-                cost_model(), NoCompression().cost_spec(),
+                cm, NoCompression().cost_spec(),
                 scheduler=make_policy("slo"),
             ),
             ServerInstance(
-                cost_model(), create("stream-512").cost_spec(),
+                cm, create("stream-512").cost_spec(),
                 scheduler=make_policy("slo"),
             ),
         ]
@@ -183,9 +183,10 @@ def _routing_rows():
 def run(scale=None) -> ExperimentResult:
     """Compare fcfs / shortest / slo scheduling and slo routing."""
     comp = NoCompression().cost_spec()
+    # one deployment: every instance below prices on one cost model
     cm = cost_model()
     policy_rows, policy_raw = _policy_rows(cm, comp)
-    routing_rows, routing_raw = _routing_rows()
+    routing_rows, routing_raw = _routing_rows(cm)
     result = ExperimentResult(
         name="SLO-aware admission — attainment under interference",
         description=(

@@ -47,11 +47,10 @@ from repro.tools.throughput_predictor import ThroughputPredictor
 TARGET_UTILIZATION = 0.85
 
 
-def _instances(algos: Sequence[str]) -> list:
-    return [
-        ServerInstance(cost_model("llama-7b", "a6000", "lmdeploy"), comp_spec(a))
-        for a in algos
-    ]
+def _instances(cm, algos: Sequence[str]) -> list:
+    """Fresh instances on the deployment's cost model ``cm``: those of
+    one algorithm share its price table."""
+    return [ServerInstance(cm, comp_spec(a)) for a in algos]
 
 
 def _derive_rps(reqs, lengths_fp16) -> float:
@@ -97,10 +96,10 @@ def router_table(
     routed = _routed_requests(scale, model)
     reqs = sharegpt_requests(scale)
 
+    # one deployment: every fleet below prices on one cost model
+    cm = cost_model("llama-7b", "a6000", "lmdeploy")
     # predictors (the paper's tools)
-    tp_pred = ThroughputPredictor(
-        cost_model("llama-7b", "a6000", "lmdeploy"), comp_specs(ALL_ALGOS)
-    ).profile()
+    tp_pred = ThroughputPredictor(cm, comp_specs(ALL_ALGOS)).profile()
     lengths = sharegpt_lengths_by_algo(scale, ALL_ALGOS, model)
     tok = functional_model(model).tokenizer
     trained = train_per_algorithm(
@@ -127,13 +126,13 @@ def router_table(
 
     # FP16 baseline: 4 identical FP16 instances, load balanced
     router = Router(
-        _instances(["fp16"] * 4), ["fp16"] * 4, RoutingPolicy.LOAD_BALANCE
+        _instances(cm, ["fp16"] * 4), ["fp16"] * 4, RoutingPolicy.LOAD_BALANCE
     )
     out["Baseline"]["fp16"] = router.serve(routed).mean_e2e()
 
     for algo in algos:
         homogeneous = Router(
-            _instances([algo] * 4), [algo] * 4, RoutingPolicy.LOAD_BALANCE
+            _instances(cm, [algo] * 4), [algo] * 4, RoutingPolicy.LOAD_BALANCE
         )
         out["Baseline"][algo] = homogeneous.serve(routed).mean_e2e()
 
@@ -145,7 +144,7 @@ def router_table(
             ("w/ Both (online)", RoutingPolicy.BOTH, True),
         ):
             router = Router(
-                _instances(mixed),
+                _instances(cm, mixed),
                 mixed,
                 policy,
                 throughput_fn=throughput_fn,

@@ -40,8 +40,45 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.kvcache.base import CapacityError, KVCacheStore, StoreStats
 
-#: chained content key of one full block: (previous block's key, token ids)
-BlockKey = Tuple[Optional[tuple], Tuple[int, ...]]
+
+class BlockKey:
+    """Chained content key of one full block: its token ids and the key
+    of the block before it, so two keys are equal exactly when their
+    whole prefixes are.
+
+    The hash is computed once, from the parent's and the block's ids,
+    and equality walks both chains in a loop that stops at the first
+    ancestor the two share, so neither recurses through the prefix
+    however long the prompt.  A probe chained on the *stored* key of the
+    block before it compares with its stored match in O(1): the two
+    parents are one object.
+    """
+
+    __slots__ = ("parent", "ids", "_hash")
+
+    def __init__(
+        self, parent: Optional["BlockKey"], ids: Tuple[int, ...]
+    ) -> None:
+        self.parent = parent
+        self.ids = ids
+        self._hash = hash((None if parent is None else parent._hash, ids))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockKey):
+            return NotImplemented
+        a: Optional[BlockKey] = self
+        b: Optional[BlockKey] = other
+        while a is not b:
+            if (
+                a is None or b is None
+                or a._hash != b._hash or a.ids != b.ids
+            ):
+                return False
+            a, b = a.parent, b.parent
+        return True
 
 
 @dataclass
@@ -185,19 +222,6 @@ class PagedStore(KVCacheStore):
     # ------------------------------------------------------------------
     # content addressing
     # ------------------------------------------------------------------
-    @staticmethod
-    def _block_keys(
-        ids: Tuple[int, ...], block_size: int
-    ) -> List[BlockKey]:
-        """Chained keys of every *full* block covering ``ids``."""
-        keys: List[BlockKey] = []
-        prev: Optional[tuple] = None
-        for i in range(len(ids) // block_size):
-            key: BlockKey = (prev, ids[i * block_size:(i + 1) * block_size])
-            keys.append(key)
-            prev = key
-        return keys
-
     def cached_prefix(self, token_ids: Sequence[int]) -> int:
         """Tokens of ``token_ids`` resident as cached full blocks.
 
@@ -207,12 +231,14 @@ class PagedStore(KVCacheStore):
         if not self.prefix_caching:
             return 0
         ids = tuple(int(t) for t in token_ids)
-        matched = 0
-        for key in self._block_keys(ids, self.block_size):
-            if key not in self._index:
-                break
-            matched += self.block_size
-        return matched
+        bs = self.block_size
+        parent: Optional[BlockKey] = None
+        for i in range(len(ids) // bs):
+            bid = self._index.get(BlockKey(parent, ids[i * bs:(i + 1) * bs]))
+            if bid is None:
+                return i * bs
+            parent = self._blocks[bid].key  # chain on the stored key
+        return len(ids) // bs * bs
 
     def _register(self, seq: _PagedSeq, block_idx: int, key: BlockKey) -> None:
         """Hash a freshly-filled full block (idempotent on collisions)."""
@@ -246,13 +272,19 @@ class PagedStore(KVCacheStore):
                     raise ValueError(
                         "token_ids must cover exactly prompt_tokens"
                     )
-                keys = self._block_keys(ids, self.block_size)
-                for key in keys:
-                    bid = self._index.get(key)
-                    if bid is None:
-                        break
-                    self._share(bid, seq)
-                    reused += self.block_size
+                bs = self.block_size
+                keys: List[BlockKey] = []
+                parent: Optional[BlockKey] = None
+                for i in range(len(ids) // bs):
+                    key = BlockKey(parent, ids[i * bs:(i + 1) * bs])
+                    if reused == i * bs:  # every block so far matched
+                        bid = self._index.get(key)
+                        if bid is not None:
+                            self._share(bid, seq)
+                            reused += bs
+                            key = self._blocks[bid].key  # the stored key
+                    keys.append(key)
+                    parent = key
                 self._append_slots(seq, prompt_tokens - seq.length)
                 # hash the freshly-filled full blocks so later arrivals hit
                 for i in range(reused // self.block_size, len(keys)):
@@ -294,7 +326,7 @@ class PagedStore(KVCacheStore):
             bs = self.block_size
             while len(seq.tail_ids) >= bs:
                 prev = seq.chain[-1] if seq.chain else None
-                key: BlockKey = (prev, tuple(seq.tail_ids[:bs]))
+                key = BlockKey(prev, tuple(seq.tail_ids[:bs]))
                 self._register(seq, len(seq.chain), key)
                 seq.chain.append(key)
                 del seq.tail_ids[:bs]

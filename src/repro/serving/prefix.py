@@ -3,14 +3,16 @@
 The simulator prices time, not tensors, so the serving-level prefix
 cache tracks *which* KV blocks an instance holds, keyed the same way
 :class:`~repro.kvcache.paged.PagedStore` keys physical blocks: each
-full block of ``block_size`` token ids gets a chained key (its own ids
-plus the key of the block before it), making a cached prefix exactly a
-chain of matching keys.  Admission asks "how many prompt tokens are
-already resident?" and prices only the uncached suffix via
-``ServingCostModel.prefill_chunk``; a cache-affinity router asks the
-same question on every instance (:meth:`peek` — no statistics, no LRU
-touch) to steer a conversation back to the instance holding its
-history.
+full block of ``block_size`` token ids gets a chained
+:class:`~repro.kvcache.paged.BlockKey` (its own ids plus the key of the
+block before it), making a cached prefix exactly a chain of matching
+keys.  Each probe key is chained on the stored key of the block before
+it, so a probe costs O(blocks) however long the prompt.  Admission
+asks "how many prompt tokens are already resident?" and prices only the
+uncached suffix via ``ServingCostModel.prefill_chunk``; a cache-affinity
+router asks the same question on every instance (:meth:`peek` — no
+statistics, no LRU touch) to steer a conversation back to the instance
+holding its history.
 
 Capacity is bounded in blocks with LRU eviction, mirroring the
 unreferenced-block retention pool of :class:`PagedStore`.
@@ -19,10 +21,9 @@ unreferenced-block retention pool of :class:`PagedStore`.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence
 
-#: chained content key of one full block: (previous block's key, token ids)
-BlockKey = Tuple[Optional[tuple], Tuple[int, ...]]
+from repro.kvcache.paged import BlockKey
 
 
 class PrefixIndex:
@@ -40,7 +41,9 @@ class PrefixIndex:
             raise ValueError("capacity_blocks must be positive")
         self.block_size = block_size
         self.capacity_blocks = capacity_blocks
-        self._blocks: "OrderedDict[BlockKey, None]" = OrderedDict()
+        # each resident key maps to itself, so a probe finds the stored
+        # key object to chain the next probe on
+        self._blocks: "OrderedDict[BlockKey, BlockKey]" = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evicted_blocks = 0
@@ -51,15 +54,19 @@ class PrefixIndex:
     def __len__(self) -> int:
         return len(self._blocks)
 
-    def _keys(self, token_ids: Sequence[int]) -> "list[BlockKey]":
-        ids = tuple(int(t) for t in token_ids)
-        keys = []
-        prev: Optional[tuple] = None
-        for i in range(len(ids) // self.block_size):
-            key: BlockKey = (prev, ids[i * self.block_size:(i + 1) * self.block_size])
-            keys.append(key)
-            prev = key
-        return keys
+    def _resident(self, token_ids: Sequence[int]) -> Iterator[BlockKey]:
+        """The stored keys of the leading resident blocks of
+        ``token_ids``, in order, up to the first block not resident
+        (only the blocks probed are read)."""
+        bs = self.block_size
+        blocks = self._blocks
+        stored: Optional[BlockKey] = None
+        for i in range(len(token_ids) // bs):
+            ids = tuple(map(int, token_ids[i * bs:(i + 1) * bs]))
+            stored = blocks.get(BlockKey(stored, ids))
+            if stored is None:
+                return
+            yield stored
 
     def peek(self, token_ids: Sequence[int]) -> int:
         """Cached-prefix length in tokens; pure (no stats, no LRU touch).
@@ -68,20 +75,13 @@ class PrefixIndex:
         refresh recency or skew hit-rate accounting on instances that
         don't receive the request.
         """
-        matched = 0
-        for key in self._keys(token_ids):
-            if key not in self._blocks:
-                break
-            matched += self.block_size
-        return matched
+        return sum(1 for _ in self._resident(token_ids)) * self.block_size
 
     def lookup(self, token_ids: Sequence[int]) -> int:
         """Cached-prefix length for an admission: counts hit/miss and
         refreshes the matched blocks' LRU recency."""
         matched = 0
-        for key in self._keys(token_ids):
-            if key not in self._blocks:
-                break
+        for key in self._resident(token_ids):
             self._blocks.move_to_end(key)
             matched += self.block_size
         if matched:
@@ -97,15 +97,21 @@ class PrefixIndex:
         """Register every full block of ``token_ids`` as resident;
         returns blocks newly added.  Oldest blocks fall off LRU when
         capacity is exceeded."""
+        bs = self.block_size
+        blocks = self._blocks
         added = 0
-        for key in self._keys(token_ids):
-            if key in self._blocks:
-                self._blocks.move_to_end(key)
-            else:
-                self._blocks[key] = None
+        key: Optional[BlockKey] = None
+        for i in range(len(token_ids) // bs):
+            ids = tuple(map(int, token_ids[i * bs:(i + 1) * bs]))
+            probe = BlockKey(key, ids)
+            key = blocks.get(probe)
+            if key is None:
+                key = blocks[probe] = probe
                 added += 1
-        while len(self._blocks) > self.capacity_blocks:
-            self._blocks.popitem(last=False)
+            else:
+                blocks.move_to_end(key)
+        while len(blocks) > self.capacity_blocks:
+            blocks.popitem(last=False)
             self.evicted_blocks += 1
         if self.telemetry is not None:
             self.telemetry.sample_prefix(self)

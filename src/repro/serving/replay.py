@@ -127,33 +127,33 @@ def fleet_scenario(
     }
 
 
-def build_instance(cfg: Dict[str, object]):
-    """Construct a :class:`ServerInstance` from one instance config."""
+def _cost_model(arch: str, gpu: str, engine: str, tp: int):
+    """A fresh cost model of one deployment."""
     # imported lazily: repro.compression / engines / model pull in the
     # numeric stack, and replay is importable from repro.serving.*
-    from repro.compression import create
     from repro.engines import ServingCostModel
     from repro.engines.presets import get_engine
     from repro.hardware.specs import get_gpu
     from repro.model.arch import get_arch
+
+    return ServingCostModel(
+        get_arch(arch), get_gpu(gpu), get_engine(engine), tp=tp,
+        interconnect=tp_interconnect(gpu, tp),
+    )
+
+
+def build_instance(cfg: Dict[str, object], cost_model):
+    """Construct a :class:`ServerInstance` from one instance config, on
+    ``cost_model`` (the cost model of the config's deployment)."""
+    from repro.compression import create
     from repro.serving.prefix import PrefixIndex
     from repro.serving.scheduler import make_policy
     from repro.serving.simulator import ServerInstance
 
     cfg = instance_config(**dict(cfg))
-    algo = str(cfg["algo"])
-    comp = create(algo).cost_spec()
-    tp = int(cfg["tp"])
-    model = ServingCostModel(
-        get_arch(str(cfg["arch"])),
-        get_gpu(str(cfg["gpu"])),
-        get_engine(str(cfg["engine"])),
-        tp=tp,
-        interconnect=tp_interconnect(str(cfg["gpu"]), tp),
-    )
     return ServerInstance(
-        model,
-        comp,
+        cost_model,
+        create(str(cfg["algo"])).cost_spec(),
         max_batch=int(cfg["max_batch"]),
         decode_block=int(cfg["decode_block"]),
         scheduler=make_policy(str(cfg["policy"])),
@@ -166,7 +166,12 @@ def build_instance(cfg: Dict[str, object]):
 
 
 def build_scenario(scenario: Dict[str, object]) -> DisaggFleet:
-    """Construct a fresh fleet from a scenario config dict."""
+    """Construct a fresh fleet from a scenario config dict.
+
+    Instances on the same ``(arch, gpu, engine, tp)`` share one fresh
+    cost model, and with it their price tables, as the fleet builders
+    that record scenarios do (``serving_disagg.build_fleet``).
+    """
     kind = scenario.get("kind", "fleet")
     if kind != "fleet":
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -175,10 +180,22 @@ def build_scenario(scenario: Dict[str, object]) -> DisaggFleet:
         raise ValueError(
             f"unknown interconnect {link!r}; known: {sorted(_INTERCONNECTS)}"
         )
+    models: Dict[Tuple[str, str, str, int], object] = {}
+
+    def build(c: Dict[str, object]):
+        cfg = instance_config(**dict(c))
+        key = (
+            str(cfg["arch"]), str(cfg["gpu"]), str(cfg["engine"]),
+            int(cfg["tp"]),
+        )
+        if key not in models:
+            models[key] = _cost_model(*key)
+        return build_instance(cfg, models[key])
+
     auto_cfg = scenario.get("autoscaler")
     return DisaggFleet(
-        [build_instance(c) for c in scenario.get("prefill", ())],
-        [build_instance(c) for c in scenario["decode"]],
+        [build(c) for c in scenario.get("prefill", ())],
+        [build(c) for c in scenario["decode"]],
         interconnect=_INTERCONNECTS[link],
         prefill_active=scenario.get("prefill_active"),
         decode_active=scenario.get("decode_active"),

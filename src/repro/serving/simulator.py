@@ -65,7 +65,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import accumulate
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -164,11 +164,10 @@ class ServerInstance:
         self.chunk_size = chunk_size
         self.prefix_cache = prefix_cache
         self.name = name
-        self.token_budget = self._token_budget()
-        # decode-step price memo: batch -> {mean KV length: seconds}
-        self._step_cache: Dict[int, Dict[int, float]] = {}
-        # prefill price memo: (batch, new tokens, cached prefix) -> seconds
-        self._prefill_cache: Dict[Tuple[int, int, int], float] = {}
+        # memoized prices, shared by every instance on this cost model
+        # serving the same spec: replicas price each distinct step once
+        self._prices = cost_model.prices(comp)
+        self.token_budget = self._prices.token_budget
         self._loop: Optional[EventLoop] = None
         self._trace: Optional[Trace] = None
         self._telemetry = None
@@ -178,19 +177,6 @@ class ServerInstance:
         # per run, before the cluster attaches instances to the loop.
         self.on_finish: Optional[Callable[[ServingRequest, float], None]] = None
         self._init_state()
-
-    def _token_budget(self) -> int:
-        """KV tokens that fit alongside weights and workspace."""
-        spec = self.cost_model._memory_spec(self.comp)
-        mem = self.cost_model.memory
-        lo, hi = 0, 4_000_000
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if mem.breakdown(spec, 1, mid).fits:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo
 
     @property
     def _prefix_shareable(self) -> bool:
@@ -716,34 +702,16 @@ class ServerInstance:
         sequence over a ``prefix`` of cached ones, for ``batch``
         sequences; ``inf`` when it does not fit in memory.
 
-        Memoized per instance (the price is a pure function of its
-        arguments): admission, each chunk, the prefix-hit saving and a
-        router's candidate scoring all read the same entries.  A pass
-        from an empty cache is priced as the cost model's single-shot
-        ``prefill`` (bit for bit its ``prefill_chunk`` at prefix 0), so
-        profiles of the cost model keep telling the two kinds apart.
+        Read from the instance's price table (see
+        :class:`~repro.engines.base.PriceTable`): admission, each chunk,
+        the prefix-hit saving and a router's candidate scoring all read
+        the same entries, and so do the other instances of the
+        deployment.
         """
-        key = (batch, tokens, prefix)
-        seconds = self._prefill_cache.get(key)
-        if seconds is None:
-            cm = self.cost_model
-            cost = (
-                cm.prefill_chunk(batch, tokens, prefix, self.comp)
-                if prefix
-                else cm.prefill(batch, tokens, self.comp)
-            )
-            seconds = self._prefill_cache[key] = cost.seconds
-        return seconds
+        return self._prices.prefill_seconds(tokens, prefix, batch)
 
     def _step_seconds(self, batch: int, kv: int) -> float:
-        prices = self._step_cache.get(batch)
-        if prices is None:
-            prices = self._step_cache[batch] = {}
-        cached = prices.get(kv)
-        if cached is None:
-            cached = self.cost_model.decode_step(batch, kv, self.comp).seconds
-            prices[kv] = cached
-        return cached
+        return self._prices.decode_seconds(batch, kv)
 
     def _decode(self, now: float, limit: Optional[int] = None) -> None:
         """Run up to ``decode_block`` steps (or ``limit`` while a chunked
@@ -843,7 +811,7 @@ class ServerInstance:
         # for exact ints, and step j is priced at (batch, kv0 + j)
         kv0 = self._decode_kv_len()
         next_arr = self._future[0] if self._future else None
-        prices = self._step_cache.get(batch, {})
+        prices = self._prices.decode.get(batch, {})
         dts = list(map(prices.get, range(kv0, kv0 + k)))
         if None in dts:
             # price the misses in step order, only as far as the burst

@@ -58,7 +58,6 @@ from repro.serving.trace import (
     KINDS,
     EventType,
     Trace,
-    TraceEvent,
 )
 
 PathLike = Union[str, pathlib.Path]
@@ -180,8 +179,10 @@ def load_jsonl(path: PathLike) -> Trace:
     """Rebuild a :class:`Trace` from a JSONL export.
 
     Corrupt lines (e.g. the half-written tail of a dump truncated
-    mid-run) are skipped, not fatal — the partial-trace-tolerant folds
-    downstream account for the requests they cut off.
+    mid-run, or an event whose ``data`` is not a JSON object) are
+    skipped, not fatal — the partial-trace-tolerant folds downstream
+    account for the requests they cut off.  Each event is written
+    straight into the trace's columns (no :class:`TraceEvent` is built).
 
     A metadata header line, when present, is surfaced as ``trace.meta``
     and its ``dropped_events`` restored onto the rebuilt trace, so a
@@ -217,14 +218,12 @@ def load_jsonl(path: PathLike) -> Trace:
                 time = float(obj["time"])
             except (ValueError, KeyError, TypeError):
                 continue  # truncated / corrupt line
-            trace.append(
-                TraceEvent(
-                    time=time,
-                    kind=kind,
-                    request_id=str(obj.get("request_id", "")),
-                    instance=str(obj.get("instance", "")),
-                    data=dict(obj.get("data", {})),
-                )
+            data = obj.get("data", {})
+            if not isinstance(data, dict):
+                continue  # corrupt payload
+            trace.record_fields(
+                time, kind, str(obj.get("request_id", "")),
+                str(obj.get("instance", "")), data,
             )
     return trace
 

@@ -19,8 +19,8 @@ budget — with every wake-up checked against a rescan.  Without a sparse
 budget the dynamic footprint and ``_overflow()`` read ``_kv_sum``; both
 are checked against the per-member formula.  Every decode burst that
 follows ``_make_room`` must run exactly one step: the one room was made
-for.  After each run every memoized prefill price must equal a fresh
-``prefill_chunk`` price.
+for.  After each run every memoized prefill and decode-step price must
+equal a fresh ``prefill_chunk`` / ``decode_step`` price.
 
 A hypothesis test drives ``_decode_burst`` directly on random running
 batches and checks its overflow horizon and per-step footprint against
@@ -79,8 +79,8 @@ def wakes(monkeypatch, room_steps):
     """Check the aggregates against a rescan after every wake-up, and
     that each burst after ``_make_room`` runs one step; returns the
     list of checked wake-ups (instance names).  After the test, every
-    woken instance's memoized prefill prices are checked against fresh
-    ones."""
+    woken instance's memoized prefill and decode-step prices are checked
+    against fresh ones."""
     checked = []
     woken = {}
     wake = ServerInstance._wake
@@ -145,11 +145,13 @@ def wakes(monkeypatch, room_steps):
     monkeypatch.setattr(ServerInstance, "_decode_burst", checked_burst)
     yield checked
     for inst in woken.values():
-        for (batch, tokens, prefix), seconds in inst._prefill_cache.items():
-            fresh = inst.cost_model.prefill_chunk(
-                batch, tokens, prefix, inst.comp
-            )
+        cm, prices = inst.cost_model, inst._prices
+        for (batch, tokens, prefix), seconds in prices.prefill.items():
+            fresh = cm.prefill_chunk(batch, tokens, prefix, inst.comp)
             assert seconds == fresh.seconds
+        for batch, by_kv in prices.decode.items():
+            for kv, seconds in by_kv.items():
+                assert seconds == cm.decode_step(batch, kv, inst.comp).seconds
 
 
 def stream(n, seed, prompt=(256, 2048), resp=(8, 160), rate=4.0):
@@ -230,7 +232,7 @@ def test_static_batches_formed_by_policy(wakes, policy):
     inst = instance(engine=TRL, scheduler=make_policy(policy), max_batch=8)
     res = inst.run(reqs, trace=trace)
     assert trace.counts()["PREFILL"] < 40  # batches of more than one
-    assert any(batch > 1 for batch, _, _ in inst._prefill_cache)
+    assert any(batch > 1 for batch, _, _ in inst._prices.prefill)
     assert len(res.completed) == 40
 
 
@@ -301,7 +303,7 @@ def test_chunked_prefill_with_prefix_hits(wakes):
     assert counts["PREFIX_HIT"] > 0 and counts["PREFILL_CHUNK"] > 0
     assert counts.get("PREFILL", 0) > 0  # short suffixes prefill in one shot
     # suffixes and later chunks are priced over a cached prefix
-    assert any(prefix > 0 for _, _, prefix in inst._prefill_cache)
+    assert any(prefix > 0 for _, _, prefix in inst._prices.prefill)
     assert len(res.completed) == 16
 
 
@@ -431,7 +433,7 @@ def test_burst_horizon_matches_member_formula(
     )
     # price every step (no OOM), so only the horizon can stop the burst
     kv0 = inst._decode_kv_len()
-    inst._step_cache[len(running)] = {kv: 0.01 for kv in range(kv0, kv0 + 9)}
+    inst._prices.decode[len(running)] = {kv: 0.01 for kv in range(kv0, kv0 + 9)}
     fin = min(r.response_len - r.generated for r in running)
     want, used = member_horizon(
         base, peak, min(fin, max_steps), inst.token_budget - extra

@@ -179,3 +179,27 @@ def test_load_skips_corrupt_lines(tmp_path):
     loaded = load_jsonl(path)
     assert len(loaded) == len(trace)
     assert StepMetrics.from_trace(loaded) == StepMetrics.from_trace(trace)
+
+
+@pytest.mark.parametrize(
+    "payload", [None, "x", 3, [1, 2]], ids=["null", "string", "number", "list"]
+)
+def test_load_skips_lines_whose_data_is_not_an_object(tmp_path, payload):
+    trace = fleet_trace()
+    path = tmp_path / "fleet.jsonl"
+    dump_jsonl(trace, path)
+    original = path.read_bytes()
+    lines = path.read_text().splitlines()
+    bad = {"time": 0.05, "kind": "ADMIT", "request_id": "bad",
+           "instance": "pf0", "data": payload}
+    # between valid events, not only at a truncated tail
+    lines.insert(2, json.dumps(bad))
+    lines.insert(5, json.dumps(bad))
+    path.write_text("\n".join(lines) + "\n")
+    loaded = load_jsonl(path)
+    assert loaded.events == trace.events
+    assert StepMetrics.from_trace(loaded) == StepMetrics.from_trace(trace)
+    # the valid lines re-dump to the original bytes
+    again = tmp_path / "again.jsonl"
+    dump_jsonl(loaded, again)
+    assert again.read_bytes() == original
