@@ -65,11 +65,11 @@ def test_monolithic_mode_matches_plain_cluster():
     specs = serving_disagg.build_workload(3.0, n=48)
 
     t_fleet = Trace()
-    fleet = DisaggFleet([], serving_disagg.build_instances(2))
+    fleet = DisaggFleet([], serving_disagg.build_fleet("static-2").decode)
     fleet.serve(serving_disagg.make_requests(specs), trace=t_fleet)
 
     t_plain = Trace()
-    cluster = Cluster(serving_disagg.build_instances(2))
+    cluster = Cluster(serving_disagg.build_fleet("static-2").decode)
     cluster.run_online(
         serving_disagg.make_requests(specs),
         least_loaded,

@@ -92,32 +92,22 @@ EXPERIMENTS: Dict[str, Callable] = {**_ANALYTIC, **_GENERATION}
 
 
 def _build_serving(args):
-    """Shared ``trace`` / ``dashboard`` setup: one instance plus its
+    """Shared ``trace`` / ``dashboard`` setup: one instance built from
+    its instance config (the one ``--export jsonl`` writes), its
     synthetic request stream, and a one-line run description."""
     import numpy as np
 
-    from repro.compression import create
-    from repro.engines import ServingCostModel
-    from repro.engines.presets import get_engine
-    from repro.hardware.specs import get_gpu
-    from repro.model.arch import get_arch
-    from repro.serving import (
-        PrefixIndex,
-        ServerInstance,
-        ServingRequest,
-        make_policy,
-    )
+    from repro.engines.presets import cost_model
+    from repro.serving import ServingRequest, instance_config
+    from repro.serving.replay import build_instance
 
-    comp = create(args.algo).cost_spec()
-    inst = ServerInstance(
-        ServingCostModel(get_arch(args.arch), get_gpu(args.gpu), get_engine(args.engine)),
-        comp,
-        max_batch=args.max_batch,
-        scheduler=make_policy(args.policy),
-        admission=args.admission,
-        chunk_size=args.chunk_size,
-        prefix_cache=PrefixIndex() if args.prefix_caching else None,
+    cfg = instance_config(
+        algo=args.algo, arch=args.arch, gpu=args.gpu, engine=args.engine,
+        max_batch=args.max_batch, policy=args.policy,
+        admission=args.admission, chunk_size=args.chunk_size,
+        prefix_caching=args.prefix_caching,
     )
+    inst = build_instance(cfg, cost_model(args.arch, args.gpu, args.engine))
     rng = np.random.default_rng(args.seed)
     arrivals = np.cumsum(rng.exponential(1.0 / args.rps, size=args.n))
     prompts = rng.integers(64, 1024, size=args.n)
@@ -157,7 +147,7 @@ def _build_serving(args):
         f"({args.policy} scheduler, {args.admission} admission, "
         f"chunked prefill {chunk}, token budget {inst.token_budget}{slo}{prefix})"
     )
-    return inst, reqs, header
+    return inst, reqs, header, cfg
 
 
 def run_trace(args) -> int:
@@ -170,7 +160,7 @@ def run_trace(args) -> int:
         write_chrome_trace,
     )
 
-    inst, reqs, header = _build_serving(args)
+    inst, reqs, header, cfg = _build_serving(args)
     trace = Trace()
     result = inst.run(reqs, trace=trace)
     lines = [
@@ -212,19 +202,12 @@ def run_trace(args) -> int:
         out_dir = args.out or pathlib.Path(".")
         out_dir.mkdir(parents=True, exist_ok=True)
         if fmt == "jsonl":
-            from repro.serving import instance_config, fleet_scenario, workload_specs
+            from repro.serving import fleet_scenario, workload_specs
 
             path = out_dir / "trace.jsonl"
             # embed scenario + workload headers so `repro.cli replay`
             # can rebuild this exact run from the file alone
-            scenario = fleet_scenario(decode=[instance_config(
-                algo=args.algo, arch=args.arch, gpu=args.gpu,
-                engine=args.engine, max_batch=args.max_batch,
-                policy=args.policy, admission=args.admission,
-                chunk_size=args.chunk_size,
-                prefix_caching=args.prefix_caching,
-            )])
-            dump_jsonl(trace, path, scenario=scenario,
+            dump_jsonl(trace, path, scenario=fleet_scenario(decode=[cfg]),
                        workload=workload_specs(reqs))
         else:
             path = out_dir / "trace.chrome.json"
@@ -237,7 +220,7 @@ def run_dashboard(args) -> int:
     """Serve a synthetic stream with telemetry on; render the dashboard."""
     from repro.serving import EventLoop, Telemetry, Trace, render_dashboard
 
-    inst, reqs, header = _build_serving(args)
+    inst, reqs, header, _ = _build_serving(args)
     telemetry = Telemetry(
         labels={"policy": args.policy, "compression": args.algo}
     )

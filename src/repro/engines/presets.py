@@ -15,7 +15,10 @@ widening at small batch (dispatch-bound) and long KV (multi-pass-bound).
 
 from __future__ import annotations
 
-from repro.engines.base import EngineConfig
+from repro.engines.base import EngineConfig, ServingCostModel
+from repro.hardware.interconnect import tp_interconnect
+from repro.hardware.specs import get_gpu
+from repro.model.arch import get_arch
 
 TRL = EngineConfig(
     name="trl",
@@ -68,3 +71,18 @@ def get_engine(name: str) -> EngineConfig:
     if key not in ENGINES:
         raise KeyError(f"unknown engine {name!r}; known: {sorted(ENGINES)}")
     return ENGINES[key]
+
+
+def cost_model(
+    arch: str = "llama-7b",
+    gpu: str = "a6000",
+    engine: str = "lmdeploy",
+    tp: int = 1,
+) -> ServingCostModel:
+    """A fresh serving cost model for a deployment named by its model,
+    GPU, engine and tensor-parallel degree (a TP group all-reduces over
+    :func:`~repro.hardware.interconnect.tp_interconnect`)."""
+    return ServingCostModel(
+        get_arch(arch), get_gpu(gpu), get_engine(engine), tp=tp,
+        interconnect=tp_interconnect(gpu, tp),
+    )

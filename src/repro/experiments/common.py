@@ -8,11 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 from repro.compression.base import CompressionCostSpec
 from repro.compression.registry import create
-from repro.engines.base import ServingCostModel
-from repro.engines.presets import get_engine
-from repro.hardware.interconnect import tp_interconnect
-from repro.hardware.specs import get_gpu
-from repro.model.arch import get_arch
+from repro.engines.presets import cost_model  # noqa: F401 (re-exported)
 from repro.model.config import llama_sim_config, mistral_sim_config
 from repro.model.transformer import FunctionalTransformer
 
@@ -51,19 +47,6 @@ def functional_model(name: str) -> FunctionalTransformer:
     if name == "mistral":
         return mistral_model()
     raise KeyError(f"unknown functional model {name!r}")
-
-
-def cost_model(
-    arch: str = "llama-7b",
-    gpu: str = "a6000",
-    engine: str = "lmdeploy",
-    tp: int = 1,
-) -> ServingCostModel:
-    """Construct a serving cost model for a deployment."""
-    return ServingCostModel(
-        get_arch(arch), get_gpu(gpu), get_engine(engine), tp=tp,
-        interconnect=tp_interconnect(gpu, tp),
-    )
 
 
 def comp_spec(name: str) -> CompressionCostSpec:

@@ -37,14 +37,8 @@ from repro.experiments.common import (
     comp_spec,
     cost_model,
 )
-from repro.serving import (
-    Autoscaler,
-    DisaggFleet,
-    ServerInstance,
-    ServingRequest,
-    StepMetrics,
-    Trace,
-)
+from repro.serving import DisaggFleet, ServingRequest, StepMetrics, Trace
+from repro.serving.replay import build_scenario, fleet_scenario
 
 SEED = 17
 N_REQUESTS = 110
@@ -137,41 +131,17 @@ def make_requests(
     ]
 
 
-def build_instances(n: int) -> List[ServerInstance]:
-    """``n`` replicas of the fleet's deployment on one cost model, so
-    they share its price table."""
-    model, comp = cost_model(), comp_spec(ALGO)
-    return [
-        ServerInstance(model, comp, max_batch=MAX_BATCH) for _ in range(n)
-    ]
-
-
 def build_fleet(kind: str) -> DisaggFleet:
-    """``static-N`` (monolithic) or ``disagg`` (autoscaled pools); every
-    instance of the fleet shares one cost model."""
-    if kind.startswith("static-"):
-        return DisaggFleet([], build_instances(int(kind.split("-")[1])))
-    if kind == "disagg":
-        instances = build_instances(PREFILL_POOL + DECODE_POOL)
-        return DisaggFleet(
-            instances[:PREFILL_POOL],
-            instances[PREFILL_POOL:],
-            prefill_active=PREFILL_ACTIVE,
-            decode_active=DECODE_ACTIVE,
-            autoscaler=Autoscaler(**AUTOSCALER),
-        )
-    raise ValueError(f"unknown fleet kind {kind!r}")
+    """``static-N`` (monolithic) or ``disagg`` (autoscaled pools), built
+    from :func:`scenario_config`; every instance of the fleet shares one
+    cost model."""
+    return build_scenario(scenario_config(kind))
 
 
 def scenario_config(kind: str) -> Dict[str, object]:
-    """Replay scenario config reproducing :func:`build_fleet` exactly.
-
-    ``repro.serving.replay.build_scenario`` on this dict constructs the
-    same fleet ``build_fleet(kind)`` does, so an exported trace of a
-    run here replays bit-for-bit (pinned by ``tests/test_replay.py``).
-    """
-    from repro.serving.replay import fleet_scenario
-
+    """The replay scenario config of a fleet kind: the one description
+    :func:`build_fleet` builds from, so an exported trace of a run here
+    replays bit-for-bit (pinned by ``tests/test_replay.py``)."""
     inst = dict(algo=ALGO, max_batch=MAX_BATCH)
     if kind.startswith("static-"):
         n = int(kind.split("-")[1])

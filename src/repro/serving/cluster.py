@@ -21,7 +21,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.serving.events import EventLoop
 from repro.serving.request import ServingRequest
-from repro.serving.telemetry.core import active as _active_telemetry
 from repro.serving.simulator import ServerInstance, SimulationResult
 from repro.serving.trace import Trace
 
@@ -127,7 +126,6 @@ class Cluster:
         instance."""
         if len(streams) != len(self.instances):
             raise ValueError("one request stream per instance required")
-        telemetry = _active_telemetry(telemetry)
         # this run's sink, whatever the previous run used: a mid-run
         # route_to() (fallback re-decode) must publish here, not to a
         # stale sink left over from an earlier run_online()
@@ -164,7 +162,6 @@ class Cluster:
         already know a request may arrive so it can break the block and
         consider admission — exactly as the ``submit()`` path does.
         """
-        telemetry = _active_telemetry(telemetry)
         self._telemetry = telemetry
         loop = self._attach_all(trace, telemetry)
         assignment: Dict[str, int] = {}

@@ -47,7 +47,6 @@ from repro.serving.events import EventLoop
 from repro.serving.request import ServingRequest
 from repro.serving.simulator import ServerInstance, SimulationResult
 from repro.serving.telemetry.core import Telemetry
-from repro.serving.telemetry.core import active as _active_telemetry
 from repro.serving.trace import EventType, Trace
 
 PREFILL_SUFFIX = "#pf"
@@ -348,7 +347,6 @@ class DisaggFleet:
     ) -> FleetResult:
         """Serve ``requests``, splitting phases across the pools."""
         requests = sorted(requests, key=lambda r: r.arrival)
-        telemetry = _active_telemetry(telemetry)
         if telemetry is None and self.autoscaler is not None:
             # the controller steers off the live registry; give it one
             # even when the caller didn't ask for instrumentation

@@ -495,7 +495,7 @@ def mine(
     for det in detectors:
         hits = sorted(det.scan(trace), key=lambda a: (a.start, a.end))
         anomalies.extend(hits)
-        if telemetry is not None and hasattr(telemetry, "mined_anomalies"):
+        if telemetry is not None:
             for _ in hits:
                 telemetry.mined_anomalies.inc(detector=det.name)
         for group in _cluster([(a.start, a) for a in hits], cluster_gap):
@@ -508,9 +508,7 @@ def mine(
                     anomalies=tuple(group),
                 )
             )
-            if telemetry is not None and hasattr(
-                telemetry, "mined_incidents"
-            ):
+            if telemetry is not None:
                 telemetry.mined_incidents.inc(detector=det.name)
     incidents.sort(key=lambda i: (-i.score, i.start))
     dropped = trace.dropped_events

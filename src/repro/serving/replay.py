@@ -56,7 +56,6 @@ from repro.hardware.interconnect import (
     NVLINK_H800,
     PCIE_GEN4,
     InterconnectSpec,
-    tp_interconnect,
 )
 from repro.serving.fleet import (
     PREFILL_SUFFIX,
@@ -127,21 +126,6 @@ def fleet_scenario(
     }
 
 
-def _cost_model(arch: str, gpu: str, engine: str, tp: int):
-    """A fresh cost model of one deployment."""
-    # imported lazily: repro.compression / engines / model pull in the
-    # numeric stack, and replay is importable from repro.serving.*
-    from repro.engines import ServingCostModel
-    from repro.engines.presets import get_engine
-    from repro.hardware.specs import get_gpu
-    from repro.model.arch import get_arch
-
-    return ServingCostModel(
-        get_arch(arch), get_gpu(gpu), get_engine(engine), tp=tp,
-        interconnect=tp_interconnect(gpu, tp),
-    )
-
-
 def build_instance(cfg: Dict[str, object], cost_model):
     """Construct a :class:`ServerInstance` from one instance config, on
     ``cost_model`` (the cost model of the config's deployment)."""
@@ -169,9 +153,12 @@ def build_scenario(scenario: Dict[str, object]) -> DisaggFleet:
     """Construct a fresh fleet from a scenario config dict.
 
     Instances on the same ``(arch, gpu, engine, tp)`` share one fresh
-    cost model, and with it their price tables, as the fleet builders
-    that record scenarios do (``serving_disagg.build_fleet``).
+    cost model, and with it their price tables.
     """
+    # imported lazily: repro.engines pulls in the numeric stack, and
+    # replay is importable from repro.serving.*
+    from repro.engines.presets import cost_model
+
     kind = scenario.get("kind", "fleet")
     if kind != "fleet":
         raise ValueError(f"unknown scenario kind {kind!r}")
@@ -189,7 +176,7 @@ def build_scenario(scenario: Dict[str, object]) -> DisaggFleet:
             int(cfg["tp"]),
         )
         if key not in models:
-            models[key] = _cost_model(*key)
+            models[key] = cost_model(*key)
         return build_instance(cfg, models[key])
 
     auto_cfg = scenario.get("autoscaler")
@@ -540,7 +527,7 @@ def replay_trace(
     recorded = StepMetrics.from_trace(trace)
     replayed = StepMetrics.from_trace(replay_collector)
     drift = fold_drift(recorded, replayed)
-    if telemetry is not None and hasattr(telemetry, "replay_drift"):
+    if telemetry is not None:
         telemetry.replay_drift.set(float(len(drift)))
     return ReplayReport(
         recorded=recorded,

@@ -11,8 +11,10 @@ batch.  Both batching disciplines run on the same loop:
   batch's **current** membership and KV lengths, so a request finishing
   mid-block immediately re-prices its peers' steps.
 - *static* (eager TRL): a batch is formed, prefilled together, and
-  decoded until all members finish; steps stay priced at the formed
-  batch size (stragglers hold their padded slots).
+  decoded until all members finish; steps stay priced padded, at the
+  formed batch size and the widest prompt (stragglers hold their padded
+  slots).  Static bursts run through the same decode path as
+  continuous ones.
 
 With ``chunk_size`` set, continuous mode runs Sarathi/vLLM-style
 **chunked prefill**: a prompt longer than the chunk is admitted and
@@ -75,7 +77,6 @@ from repro.serving.events import EventLoop
 from repro.serving.prefix import PrefixIndex
 from repro.serving.request import ServingRequest
 from repro.serving.scheduler import FCFSPolicy, SchedulerPolicy, WaitingQueue
-from repro.serving.telemetry.core import active as _active_telemetry
 from repro.serving.trace import EventType, Trace, TraceEvent
 
 ADMISSION_MODES = ("reserve", "dynamic")
@@ -280,9 +281,9 @@ class ServerInstance:
         # whose turn the next wake-up is (chunk vs decode step)
         self._prefilling: Optional[ServingRequest] = None
         self._decode_turn = False
-        # static batch: its formed size, steps run and widest prompt
+        # static batch: its formed size and widest prompt, the shape
+        # its padded steps are priced at (0: continuous batching)
         self._sbatch_size = 0
-        self._sstep = 0
         self._smax_prompt = 0
 
     def attach(
@@ -296,12 +297,12 @@ class ServerInstance:
         ``telemetry`` is an opt-in :class:`~repro.serving.telemetry.
         Telemetry` sink: every recorded event is also folded into its
         metrics registry, and each wake-up samples live gauges.  Left
-        ``None`` (or passed a disabled sink), nothing is published and
-        the run is bit-for-bit the uninstrumented one.
+        ``None``, nothing is published and the run is bit-for-bit the
+        uninstrumented one.
         """
         self._loop = loop
         self._trace = trace
-        self._telemetry = _active_telemetry(telemetry)
+        self._telemetry = telemetry
         self._init_state()
 
     def submit(self, req: ServingRequest) -> None:
@@ -392,7 +393,6 @@ class ServerInstance:
         telemetry=None,
     ) -> SimulationResult:
         """Serve ``requests`` on a private event loop; returns latencies."""
-        telemetry = _active_telemetry(telemetry)
         loop = EventLoop(telemetry=telemetry)
         self.attach(loop, trace, telemetry)
         for r in sorted(requests, key=lambda r: r.arrival):
@@ -441,17 +441,13 @@ class ServerInstance:
         self._record(time, kind, rid, **data)
 
     def _record(self, time: float, kind: EventType, rid: str = "", **data) -> None:
-        trace, tel = self._trace, self._telemetry
-        if tel is None:
-            if trace is not None:
-                # columnar traces decompose the payload straight into
-                # the columns; no TraceEvent object is built at all
-                trace.record_fields(time, kind, rid, self.name, data)
-            return
-        event = TraceEvent(time, kind, rid, self.name, data)
-        if trace is not None:
-            trace.append(event)
-        tel.on_event(event)
+        """Record one event; ``DECODE_STEP`` rows come in bursts through
+        :meth:`_decode_burst` instead."""
+        if self._trace is not None:
+            # the payload goes straight into the columns
+            self._trace.record_fields(time, kind, rid, self.name, data)
+        if self._telemetry is not None:
+            self._telemetry.on_event(TraceEvent(time, kind, rid, self.name, data))
 
     def _record_admit(self, now: float, req: ServingRequest) -> None:
         """ADMIT event carrying the (re)queue epoch and SLO targets."""
@@ -624,8 +620,9 @@ class ServerInstance:
 
     def _prefilled(self, req: ServingRequest, at: float) -> None:
         """The prompt's KV is complete at ``at``: emit the first token
-        (kept across recompute preemption), then finish a request with
-        no response or add it to the running batch."""
+        (kept across recompute preemption and the prefill->decode
+        handoff), then finish a request with no response or add it to
+        the running batch."""
         if req.first_token is None:
             req.first_token = at
         req.prefilled = req.prompt_len
@@ -687,13 +684,19 @@ class ServerInstance:
             r = self._leave(i - gone)  # earlier leavers shifted it down
             self._finish(r, clock)
 
-    def _decode_kv_len(self) -> int:
-        """Mean KV length of the running batch, truncated.
+    def _priced_step(self) -> Tuple[int, int]:
+        """The (batch, KV length) the running batch's next decode step
+        is priced at.
 
+        Continuous: the batch and its mean KV length, truncated —
         ``int(sum / batch)`` is exactly ``int(np.mean(lengths))`` for
-        lengths whose sum stays exact in float64.
+        lengths whose sum stays exact in float64.  Static: padded, at
+        the formed batch size and the widest prompt plus the tokens each
+        member has generated (the members generate in lock step).
         """
-        return int(self._kv_sum / len(self._running))
+        if self._sbatch_size:
+            return self._sbatch_size, self._smax_prompt + self._running[0].generated
+        return len(self._running), int(self._kv_sum / len(self._running))
 
     def prefill_seconds(
         self, tokens: int, prefix: int = 0, batch: int = 1
@@ -717,7 +720,8 @@ class ServerInstance:
         """Run up to ``decode_block`` steps (or ``limit`` while a chunked
         prefill is interleaving); stop early whenever batch membership
         changes (finish/preempt) so every step is priced for the batch
-        actually executing it, or when a new arrival lands.
+        actually executing it (a static batch's at its padded shape), or
+        when a new arrival lands.
 
         Every step runs through :meth:`_decode_burst`, which runs the
         block's fixed-membership steps at once.  A burst stops short of
@@ -755,11 +759,13 @@ class ServerInstance:
 
         The first-finisher step comes from the running-batch aggregate
         ``_min_left``, the step prices are consecutive memo entries from
-        the aggregate KV sum, the clocks are their running sum, the
+        :meth:`_priced_step` (a static batch's padded shape, or the
+        aggregate KV sum), the clocks are their running sum, the
         budget-overflow horizon (dynamic admission) comes from the
-        batch's KV growth — ``batch`` tokens per step from ``_kv_sum``
-        without a sparse budget, member by member with one — and the
-        trace and telemetry each get one call for the whole burst.
+        batch's KV growth — one token per member and step from
+        ``_kv_sum`` without a sparse budget, member by member with one —
+        and the trace and telemetry each get one call for the whole
+        burst, with the members that decoded as ``live``.
 
         Returns ``(steps_ran, clock, stop)``; ``stop`` means the block
         is over (a finish, or an arrival at or before a step's end: that
@@ -768,7 +774,7 @@ class ServerInstance:
         first (it would overflow the budget or is OOM-priced).
         """
         running = self._running
-        batch = len(running)
+        live = len(running)
         # steps until the earliest finisher leaves the batch (>= 1:
         # running requests are never done)
         if self._min_left is None:
@@ -785,11 +791,11 @@ class ServerInstance:
             # where the batched footprint first overflows
             base = np.fromiter(
                 (r.prompt_len + r.generated for r in running),
-                np.int64, count=batch,
+                np.int64, count=live,
             )
             peak = np.fromiter(
                 (self._request_tokens(r) for r in running),
-                np.int64, count=batch,
+                np.int64, count=live,
             )
             budget = self.token_budget - extra
             if int(peak.sum()) > budget:
@@ -799,17 +805,18 @@ class ServerInstance:
                         break
         elif self._dynamic:
             # no member reaches its peak within fin steps, so the
-            # footprint after step j is kv_sum + batch * j: the first
+            # footprint after step j is kv_sum + live * j: the first
             # overflowing step is one past the floor division
-            fits = (self.token_budget - extra - kv_sum) // batch
+            fits = (self.token_budget - extra - kv_sum) // live
             if fits < k:
                 k = fits
         if k <= 0:
             return 0, clock, False  # _make_room preempts first
-        # every member grows one token per step, so the truncated KV
-        # mean rises by exactly one: int((S + j*b) / b) == int(S / b) + j
-        # for exact ints, and step j is priced at (batch, kv0 + j)
-        kv0 = self._decode_kv_len()
+        # every member grows one token per step, so the priced KV length
+        # rises by exactly one (for the truncated mean, int((S + j*b) / b)
+        # == int(S / b) + j for exact ints): step j is priced at
+        # (batch, kv0 + j)
+        batch, kv0 = self._priced_step()
         next_arr = self._future[0] if self._future else None
         prices = self._prices.decode.get(batch, {})
         dts = list(map(prices.get, range(kv0, kv0 + k)))
@@ -845,7 +852,7 @@ class ServerInstance:
         clock = times[-1]
         for r in running:
             r.generated += executed
-        self._kv_sum += batch * executed
+        self._kv_sum += live * executed
         self._min_left -= executed
         trace, tel = self._trace, self._telemetry
         if trace is not None or tel is not None:
@@ -861,7 +868,7 @@ class ServerInstance:
             elif self._dynamic:
                 # each step adds one token per member (see the horizon)
                 used = [
-                    kv_sum + batch * j + extra for j in range(1, executed + 1)
+                    kv_sum + live * j + extra for j in range(1, executed + 1)
                 ]
             else:
                 used = self.used_tokens  # the ledger: constant per burst
@@ -869,12 +876,12 @@ class ServerInstance:
             if trace is not None:
                 trace.record_decode_steps(
                     self.name, times, batch, kvs, dts, used,
-                    self.token_budget,
+                    self.token_budget, live,
                 )
             if tel is not None:
                 tel.on_decode_steps(
                     self.name, times, batch, kvs, dts, used,
-                    self.token_budget,
+                    self.token_budget, live,
                 )
         if executed == fin:
             self._retire_done(clock)
@@ -895,10 +902,9 @@ class ServerInstance:
         if self._dynamic:
             while self._overflow() and self._evict_victim(clock):
                 evicted = True
-        running = self._running
-        while self._step_seconds(len(running), self._decode_kv_len()) == _INF:
+        while self._step_seconds(*self._priced_step()) == _INF:
             if not self._evict_victim(clock):
-                victim = self._leave(self.scheduler.victim(running, clock))
+                victim = self._leave(self.scheduler.victim(self._running, clock))
                 victim.rejected = True
                 self._record(
                     clock, EventType.REJECT, victim.request_id,
@@ -968,9 +974,9 @@ class ServerInstance:
     # ------------------------------------------------------------------
     def _wake_static(self, now: float) -> None:
         if self._running:
-            self._static_decode(now)
-            return
-        self._form_static_batch(now)
+            self._decode(now)
+        else:
+            self._form_static_batch(now)
 
     def _form_static_batch(self, now: float) -> None:
         """Form a batch in the policy's order while the peaks fit the
@@ -978,7 +984,8 @@ class ServerInstance:
         at the widest prompt plus the longest response, less the token
         the prefill emits — fits in memory (its price is finite: the
         steps before it hold less KV).  A lone request always fits, its
-        peak being within the budget."""
+        peak being within the budget.  Members whose KV already arrived
+        (``kv_ready``) are not prefilled again."""
         if not self._waiting.requests:
             return  # idle until the next arrival
         batch: List[ServingRequest] = []
@@ -999,52 +1006,31 @@ class ServerInstance:
             batch.append(req)
         if not batch:
             return
-        seconds = self.prefill_seconds(widest, batch=len(batch))
-        if seconds == _INF:
-            req = max(batch, key=lambda r: r.prompt_len)
-            self._reject(now, req, self._request_tokens(req))
-            self._schedule_wake(now)
-            return
-        end = now + seconds
+        # one padded prefill for the members whose KV is not here yet;
+        # migrated (kv_ready) members arrive with theirs
+        cold = [r for r in batch if not r.kv_ready]
+        end = now
+        if cold:
+            pad = max(cold, key=lambda r: r.prompt_len)  # the padded width
+            seconds = self.prefill_seconds(pad.prompt_len, batch=len(cold))
+            if seconds == _INF:
+                self._reject(now, pad, self._request_tokens(pad))
+                self._schedule_wake(now)
+                return
+            end = now + seconds
         for r in batch:
             self._dequeue(r)
             r.prefill_start = now
             self._record_admit(now, r)
-            r.first_token = end
-            r.generated = 1 if r.response_len > 0 else 0
-        self._record(
-            now, EventType.PREFILL,
-            seconds=seconds, batch=len(batch), prompt=widest,
-        )
-        # every finish comes first: an on_finish hook sees the batch as
-        # not yet running
-        for r in batch:
-            if r.done:
-                self._finish(r, end)
-        for r in batch:
-            if not r.done:
-                self._join(r)
+        if cold:
+            self._record(
+                now, EventType.PREFILL,
+                seconds=seconds, batch=len(cold), prompt=pad.prompt_len,
+            )
+        # the members the prefill finishes come first: an on_finish hook
+        # sees the batch as not yet running
+        for r in sorted(batch, key=lambda r: r.response_len > 1):
+            self._prefilled(r, end)
         self._sbatch_size = len(batch)
-        self._sstep = 0
         self._smax_prompt = widest
         self._schedule_wake(end)
-
-    def _static_decode(self, now: float) -> None:
-        """One decode step; stragglers hold the batch, so the step stays
-        priced at the *formed* batch size (padded execution)."""
-        running = self._running
-        kv = self._smax_prompt + 1 + self._sstep
-        dt = self._step_seconds(self._sbatch_size, kv)
-        clock = now + dt
-        for r in running:
-            r.generated += 1
-        self._kv_sum += len(running)
-        self._record(
-            clock, EventType.DECODE_STEP,
-            batch=self._sbatch_size, kv=kv, seconds=dt,
-            used_tokens=self.used_tokens, token_budget=self.token_budget,
-            live=len(running),
-        )
-        self._retire_done(clock)
-        self._sstep += 1
-        self._schedule_wake(clock)

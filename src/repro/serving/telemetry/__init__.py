@@ -6,8 +6,8 @@
 - :mod:`registry` — Counter / Gauge / Histogram metric families with
   fixed log-spaced buckets, Prometheus text exposition + dict snapshot.
 - :mod:`core` — the :class:`Telemetry` sink the serving components
-  publish into (opt-in; ``None`` / :class:`NullTelemetry` = off, with
-  the disabled path bit-for-bit identical to an uninstrumented run).
+  publish into (opt-in; ``None`` = off, with the disabled path
+  bit-for-bit identical to an uninstrumented run).
 - :mod:`spans` — per-request causal span trees derived from the
   :class:`~repro.serving.trace.Trace` stream.
 - :mod:`export` — JSONL dump/load (offline ``StepMetrics`` replay) and
@@ -15,7 +15,7 @@
 - :mod:`dashboard` — ASCII sparkline dashboard (``cli dashboard``).
 """
 
-from repro.serving.telemetry.core import NullTelemetry, Telemetry, active
+from repro.serving.telemetry.core import Telemetry
 from repro.serving.telemetry.dashboard import render_dashboard, sparkline
 from repro.serving.telemetry.export import (
     dump_jsonl,
@@ -41,8 +41,6 @@ __all__ = [
     "DEFAULT_BUCKETS",
     "log_buckets",
     "Telemetry",
-    "NullTelemetry",
-    "active",
     "Span",
     "build_spans",
     "validate_spans",

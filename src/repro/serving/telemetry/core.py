@@ -6,8 +6,11 @@ publishing surface the serving components call:
 
 - ``on_event(event)``       — every :class:`TraceEvent` an instance
   records (fed from ``ServerInstance._record``); folds the event into
-  counters and histograms (TTFT, TBOT, queue delay, prefill/step
-  seconds, SLO misses, prefix reuse).
+  counters and histograms (TTFT, TBOT, queue delay, prefill seconds,
+  SLO misses, prefix reuse).
+- ``on_decode_steps(...)``  — a burst of ``DECODE_STEP`` events, fed
+  alongside ``Trace.record_decode_steps`` (step seconds, batch size,
+  generated tokens, KV occupancy).
 - ``sample_instance(now, inst)`` — per-wake-up gauges: queue depth
   and running batch; also appended to the dashboard series.
 - ``on_loop(now, pending, fired)`` — event-loop health gauges, and the
@@ -26,9 +29,6 @@ Series points are samples taken when a hook runs: ``queue_depth`` and
 Instrumentation is **opt-in**: every component takes ``telemetry=None``
 and skips publishing entirely when unset, so a run without telemetry is
 bit-for-bit identical to one on a build without this module.
-:class:`NullTelemetry` is the explicit no-op sink — same surface, every
-method a ``pass`` — for call sites that want an always-valid object;
-:func:`active` normalizes either convention to "``None`` means off".
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ SeriesKey = Tuple[str, str]
 # the kinds on_event tests first, and every kind's label value, resolved
 # once: on CPython 3.11 an enum member or ``.value`` lookup costs
 # 0.15-0.25 us (x86 VM), and on_event made several per event
-_DECODE_STEP, _ADMIT, _PREFILL, _PREFILL_CHUNK, _FINISH = (
-    EventType.DECODE_STEP, EventType.ADMIT, EventType.PREFILL,
-    EventType.PREFILL_CHUNK, EventType.FINISH,
+_ADMIT, _PREFILL, _PREFILL_CHUNK, _FINISH = (
+    EventType.ADMIT, EventType.PREFILL, EventType.PREFILL_CHUNK,
+    EventType.FINISH,
 )
 _KIND_VALUE = {kind: kind.value for kind in EventType}
 
@@ -100,8 +100,6 @@ class _InstHot:
 
 class Telemetry:
     """Live metrics registry + sampled series for one serving run."""
-
-    enabled = True
 
     def __init__(
         self,
@@ -298,25 +296,13 @@ class Telemetry:
     def on_event(self, e: TraceEvent) -> None:
         """Fold one trace event into the registry.
 
-        A ``DECODE_STEP`` is folded as a one-step
-        :meth:`on_decode_steps` burst.  The other kinds use the
-        metrics' pre-built-key fast paths — label keys here are the
-        label *values* in declared order.
+        Decode steps are folded in bursts by :meth:`on_decode_steps`.
+        The kinds here use the metrics' pre-built-key fast paths —
+        label keys are the label *values* in declared order.
         """
         inst = e.instance
         d = e.data
         k = e.kind
-        if k is _DECODE_STEP:
-            batch, live = d["batch"], d["live"]
-            self.on_decode_steps(
-                inst, (e.time,), batch, (d["kv"],), (d["seconds"],),
-                d["used_tokens"], d["token_budget"],
-            )
-            if live != batch:
-                # static batching prices the formed batch, but only its
-                # live members emitted a token this step
-                self._hot[inst].gen_values[(inst,)] += live - batch
-            return
         ev = self._ev_values
         kk = (inst, _KIND_VALUE[k])
         ev[kk] = ev.get(kk, 0.0) + 1.0
@@ -377,16 +363,19 @@ class Telemetry:
         seconds,
         used_tokens,
         token_budget: int,
+        live: int,
     ) -> None:
         """Fold a burst of ``DECODE_STEP`` events in one call.
 
         Fed by the simulator's burst decode path alongside
         ``Trace.record_decode_steps`` — the shared counters and
         histogram land in one update per burst instead of one per
-        step — and, one step at a time, by :meth:`on_event`.
-        ``used_tokens`` is a scalar or a per-step sequence, as in the
-        trace call; the ``kv_occupancy`` gauge and series take the
-        burst's last step.
+        step.  ``used_tokens`` is a scalar or a per-step sequence, as in
+        the trace call; the ``kv_occupancy`` gauge and series take the
+        burst's last step.  ``batch`` is the priced batch size (the
+        ``serving_batch_size`` gauge) and ``live`` the members that
+        emitted a token each step (a static batch's stragglers decode
+        in a padded batch).
         """
         k = len(times)
         if k == 0:
@@ -416,7 +405,7 @@ class Telemetry:
         s.count += k
         ik = hot.ik
         hot.batch_values[ik] = float(batch)
-        hot.gen_values[ik] = hot.gen_values.get(ik, 0.0) + float(batch) * k
+        hot.gen_values[ik] = hot.gen_values.get(ik, 0.0) + float(live) * k
         if isinstance(used_tokens, (list, tuple)):
             used_tokens = used_tokens[-1]
         occ = used_tokens / max(1, token_budget)
@@ -510,52 +499,3 @@ class Telemetry:
     def render_prometheus(self) -> str:
         """Prometheus text exposition of the whole registry."""
         return self.registry.render_prometheus()
-
-
-class NullTelemetry(Telemetry):
-    """Explicit no-op sink: the full surface, nothing recorded.
-
-    ``active(NullTelemetry())`` is ``None``, so components wired with it
-    skip publishing entirely — the disabled path stays bit-for-bit
-    identical to running without telemetry at all.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def on_event(self, e: TraceEvent) -> None:  # pragma: no cover - no-op
-        pass
-
-    def on_decode_steps(
-        self, instance, times, batch, kvs, seconds, used_tokens,
-        token_budget,
-    ) -> None:
-        pass
-
-    def sample_instance(self, now, inst) -> None:
-        pass
-
-    def on_loop(self, now, pending, fired) -> None:
-        pass
-
-    def on_route(self, instance) -> None:
-        pass
-
-    def on_prefix_lookup(self, matched_tokens) -> None:
-        pass
-
-    def sample_prefix(self, index) -> None:
-        pass
-
-    def sample_store(self, store) -> None:
-        pass
-
-
-def active(telemetry: Optional[Telemetry]) -> Optional[Telemetry]:
-    """Normalize a telemetry argument: ``None`` or a disabled sink
-    (e.g. :class:`NullTelemetry`) both mean "publish nothing"."""
-    if telemetry is None or not getattr(telemetry, "enabled", True):
-        return None
-    return telemetry

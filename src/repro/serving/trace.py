@@ -204,12 +204,12 @@ class _Column:
 
 class _BurstQueue:
     """``DECODE_STEP`` bursts whose rows are reserved but not yet
-    written: per burst its first row, length, instance id, batch and
-    token budget; per row its time, KV length, seconds and used
-    tokens."""
+    written: per burst its first row, length, instance id, batch, token
+    budget and live members; per row its time, KV length, seconds and
+    used tokens."""
 
     __slots__ = ("rows", "first", "length", "inst", "batch", "budget",
-                 "time", "kv", "seconds", "used")
+                 "live", "time", "kv", "seconds", "used")
 
     def __init__(self) -> None:
         self.rows = 0
@@ -218,6 +218,7 @@ class _BurstQueue:
         self.inst: List[int] = []
         self.batch: List[int] = []
         self.budget: List[int] = []
+        self.live: List[int] = []
         self.time: List[float] = []
         self.kv: List[int] = []
         self.seconds: List[float] = []
@@ -486,13 +487,16 @@ class Trace:
         seconds: Sequence[float],
         used_tokens,
         token_budget: int,
+        live: int,
     ) -> None:
         """Append a burst of ``DECODE_STEP`` events.
 
         ``used_tokens`` may be a scalar (reserve admission: occupancy is
         constant across the burst) or a per-step sequence (dynamic
-        admission).  ``live`` equals ``batch`` — continuous batching
-        records steps only while membership is fixed.
+        admission).  ``batch`` is the batch size the steps are priced
+        at and ``live`` the members that decoded: equal under
+        continuous batching, while a static batch's stragglers hold the
+        padded slots of the members that finished.
 
         This is the simulator's hot-path append, so the column writes
         are deferred: the rows are reserved (and the instance, the
@@ -524,6 +528,7 @@ class Trace:
         q.inst.append(inst)
         q.batch.append(batch)
         q.budget.append(token_budget)
+        q.live.append(live)
         q.time.extend(times)
         q.kv.extend(kvs)
         q.seconds.extend(seconds)
@@ -552,9 +557,9 @@ class Trace:
         self._req[rows] = 0
         self._inst[rows] = np.repeat(q.inst, length)
         self._sig[rows] = self._decode_sig
-        batch = np.repeat(q.batch, length)
         values = (
-            batch, q.kv, q.seconds, q.used, np.repeat(q.budget, length), batch,
+            np.repeat(q.batch, length), q.kv, q.seconds, q.used,
+            np.repeat(q.budget, length), np.repeat(q.live, length),
         )
         for key, col, value in zip(self._DECODE_KEYS, self._decode_cols, values):
             col.values[rows] = value

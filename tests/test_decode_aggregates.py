@@ -432,7 +432,7 @@ def test_burst_horizon_matches_member_formula(
         int(np.minimum(base + 1, peak).sum()) + extra > inst.token_budget
     )
     # price every step (no OOM), so only the horizon can stop the burst
-    kv0 = inst._decode_kv_len()
+    _, kv0 = inst._priced_step()
     inst._prices.decode[len(running)] = {kv: 0.01 for kv in range(kv0, kv0 + 9)}
     fin = min(r.response_len - r.generated for r in running)
     want, used = member_horizon(

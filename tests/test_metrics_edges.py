@@ -124,7 +124,7 @@ class TestPartialTraces:
         cut = Trace()
         for e in trace.events:
             if not pred(e):
-                cut.append(e)
+                cut.record(e.time, e.kind, e.request_id, e.instance, **e.data)
         return cut
 
     def test_truncated_trace_counts_partials(self):
@@ -149,9 +149,7 @@ class TestPartialTraces:
             data = dict(e.data)
             if e.kind is EventType.FINISH and e.request_id == "r0":
                 data.pop("arrival")
-            bad.append(
-                TraceEvent(e.time, e.kind, e.request_id, e.instance, data)
-            )
+            bad.record(e.time, e.kind, e.request_id, e.instance, **data)
         lats = request_latencies(bad)
         assert "r0" not in lats
         assert len(lats) == 5
@@ -169,9 +167,7 @@ class TestPartialTraces:
             if e.kind is EventType.ADMIT:
                 data.pop("queued_at", None)
                 data.pop("arrival", None)
-            bad.append(
-                TraceEvent(e.time, e.kind, e.request_id, e.instance, data)
-            )
+            bad.record(e.time, e.kind, e.request_id, e.instance, **data)
         assert queue_delays(bad) == {}
         assert StepMetrics.from_trace(bad).mean_queue_delay == 0.0
 
@@ -182,9 +178,7 @@ class TestPartialTraces:
             data = dict(e.data)
             if e.kind is EventType.DECODE_STEP:
                 data.pop("used_tokens", None)
-            bad.append(
-                TraceEvent(e.time, e.kind, e.request_id, e.instance, data)
-            )
+            bad.record(e.time, e.kind, e.request_id, e.instance, **data)
         m = StepMetrics.from_trace(bad)
         assert m.decode_steps == 0
         assert m.mean_budget_utilization == 0.0

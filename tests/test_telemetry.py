@@ -15,7 +15,6 @@ from repro.model.arch import LLAMA_7B
 from repro.serving import (
     EventLoop,
     EventType,
-    NullTelemetry,
     PrefixIndex,
     ServerInstance,
     ServingRequest,
@@ -37,7 +36,6 @@ from repro.serving.telemetry import (
     log_buckets,
     sparkline,
 )
-from repro.serving.telemetry.core import active
 
 FP16 = NoCompression().cost_spec()
 
@@ -235,20 +233,10 @@ class TestTelemetrySink:
 
     def test_disabled_path_is_bit_for_bit_identical(self):
         reqs = requests(8, spacing=0.1)
-        t_plain, t_tel, t_null = Trace(), Trace(), Trace()
+        t_plain, t_tel = Trace(), Trace()
         instance(max_batch=4).run(reqs, trace=t_plain)
         instance(max_batch=4).run(reqs, trace=t_tel, telemetry=Telemetry())
-        instance(max_batch=4).run(
-            reqs, trace=t_null, telemetry=NullTelemetry()
-        )
         assert t_plain.events == t_tel.events
-        assert t_plain.events == t_null.events
-
-    def test_active_normalizer(self):
-        tel = Telemetry()
-        assert active(None) is None
-        assert active(NullTelemetry()) is None
-        assert active(tel) is tel
 
     def test_static_batch_counts_only_live_tokens(self):
         """Static batching prices each step at the formed batch size;
@@ -266,30 +254,27 @@ class TestTelemetrySink:
         )
 
     def test_batched_decode_fold_matches_per_event(self):
-        from repro.serving import TraceEvent
-
+        """A burst folds as its steps do one call each; ``batch`` is the
+        priced size and ``live`` the members that emitted a token (3 of
+        a padded 4 here, as while a static batch's stragglers run)."""
         times = [0.1, 0.2, 0.3]
         kvs = [100, 104, 108]
         secs = [0.01, 0.5, 0.012]  # middle one lands in a later bucket
         used = [500, 516, 532]
-        per_event, batched = Telemetry(), Telemetry()
+        per_step, batched = Telemetry(), Telemetry()
         for j in range(3):
-            per_event.on_event(
-                TraceEvent(
-                    times[j], EventType.DECODE_STEP, "", "i0",
-                    {
-                        "batch": 4, "kv": kvs[j], "seconds": secs[j],
-                        "used_tokens": used[j], "token_budget": 4096,
-                        "live": 4,
-                    },
-                )
+            per_step.on_decode_steps(
+                "i0", times[j:j + 1], 4, kvs[j:j + 1], secs[j:j + 1],
+                used[j:j + 1], 4096, 3,
             )
-        batched.on_decode_steps("i0", times, 4, kvs, secs, used, 4096)
-        assert per_event.snapshot() == batched.snapshot()
+        batched.on_decode_steps("i0", times, 4, kvs, secs, used, 4096, 3)
+        assert per_step.snapshot() == batched.snapshot()
+        assert batched.generated_tokens.value(instance="i0") == 9
+        assert batched.batch_size.value(instance="i0") == 4
         # the series is sampled once per call: a burst keeps its last step
         assert (
             batched.series[("i0", "kv_occupancy")]
-            == per_event.series[("i0", "kv_occupancy")][-1:]
+            == per_step.series[("i0", "kv_occupancy")][-1:]
         )
 
     def test_trace_buffer_gauges(self):
@@ -319,8 +304,8 @@ class TestSampling:
         tel = Telemetry()
         times = [0.1, 0.2, 0.3]
         tel.on_decode_steps("i0", times, 4, [100, 104, 108],
-                            [0.01, 0.5, 0.012], used, 4096)
-        tel.on_decode_steps("i0", [0.4], 4, [112], [0.01], [548], 4096)
+                            [0.01, 0.5, 0.012], used, 4096, 4)
+        tel.on_decode_steps("i0", [0.4], 4, [112], [0.01], [548], 4096, 4)
         assert tel.series[("i0", "kv_occupancy")] == [
             (0.3, 532 / 4096), (0.4, 548 / 4096),
         ]
@@ -343,7 +328,7 @@ class TestSampling:
         assert all(steps[t] == occ for t, occ in pts)
         assert pts[-1] == max(steps.items())
 
-    def test_static_steps_keep_one_point_each(self):
+    def test_static_points_are_burst_ends(self):
         cm = ServingCostModel(LLAMA_7B, A6000, TRL)
         trace, tel = Trace(), Telemetry()
         reqs = [
@@ -353,10 +338,15 @@ class TestSampling:
         ServerInstance(cm, FP16, max_batch=4).run(
             reqs, trace=trace, telemetry=tel
         )
-        assert tel.series[("", "kv_occupancy")] == [
-            (e.time, e.data["used_tokens"] / e.data["token_budget"])
+        steps = {
+            e.time: e.data["used_tokens"] / e.data["token_budget"]
             for e in trace.of_kind(EventType.DECODE_STEP)
-        ]
+        }
+        pts = tel.series[("", "kv_occupancy")]
+        # static batches decode in bursts too: one point per burst
+        assert 0 < len(pts) < len(steps)
+        assert all(steps[t] == occ for t, occ in pts)
+        assert pts[-1] == max(steps.items())
 
     def test_fleet_trace_gauges_read_the_shared_trace(self):
         from repro.serving import DisaggFleet
@@ -437,7 +427,7 @@ class TestSpans:
         for e in trace.events:
             if e.kind is EventType.FINISH and e.request_id == "r5":
                 continue
-            cut.append(e)
+            cut.record(e.time, e.kind, e.request_id, e.instance, **e.data)
         roots = {r.request_id: r for r in build_spans(cut)}
         assert roots["r5"].meta["status"] == "partial"
         validate_spans(cut, list(roots.values()))

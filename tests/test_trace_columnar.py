@@ -199,7 +199,7 @@ class TestRecordDecodeSteps:
         secs = [0.01, 0.011, 0.012]
         used = [500, 516, 532]
         batched = Trace()
-        batched.record_decode_steps("i0", times, 4, kvs, secs, used, 4096)
+        batched.record_decode_steps("i0", times, 4, kvs, secs, used, 4096, 4)
         manual = Trace()
         for j in range(3):
             manual.record(
@@ -216,12 +216,12 @@ class TestRecordDecodeSteps:
     def test_scalar_used_tokens_broadcasts(self):
         t = Trace()
         t.record_decode_steps("i0", [0.1, 0.2], 2, [8, 10], [0.01, 0.01],
-                              640, 4096)
+                              640, 4096, 2)
         assert [e.data["used_tokens"] for e in t.events] == [640, 640]
 
     def test_empty_burst_is_noop(self):
         t = Trace()
-        t.record_decode_steps("i0", [], 0, [], [], 0, 4096)
+        t.record_decode_steps("i0", [], 0, [], [], 0, 4096, 0)
         assert len(t) == 0
 
     def test_burst_grows_buffer(self):
@@ -229,7 +229,7 @@ class TestRecordDecodeSteps:
         n = 50
         t.record_decode_steps(
             "i0", [0.01 * j for j in range(n)], 3,
-            list(range(n)), [0.001] * n, list(range(n)), 1 << 20,
+            list(range(n)), [0.001] * n, list(range(n)), 1 << 20, 3,
         )
         assert len(t) == n
         assert t.events[-1].data["kv"] == n - 1
@@ -265,9 +265,11 @@ def _script(seed, n_ops=500):
                 used = int(rng.integers(1000, 60_000))
             else:
                 used = [int(x) for x in rng.integers(1000, 60_000, size=k)]
+            batch = int(rng.integers(1, 65))
             ops.append(("burst", (
-                f"i{int(rng.integers(2))}", times, int(rng.integers(1, 65)),
+                f"i{int(rng.integers(2))}", times, batch,
                 list(range(kv0, kv0 + k)), secs, used, 60_000,
+                int(rng.integers(1, batch + 1)),
             )))
         elif u < 0.75:
             clock += 0.001
@@ -370,7 +372,7 @@ class TestDeferredBurstWrites:
         lazy, eager = Trace(), Trace()
         for j in range(1200):
             burst = ("i0", [j + 0.1 * s for s in range(8)], 4,
-                     list(range(j, j + 8)), [0.1] * 8, 512 + j, 60_000)
+                     list(range(j, j + 8)), [0.1] * 8, 512 + j, 60_000, 4)
             lazy.record_decode_steps(*burst)
             eager.record_decode_steps(*burst)
             eager._flush()
