@@ -107,7 +107,9 @@ def _build_serving(args):
         admission=args.admission, chunk_size=args.chunk_size,
         prefix_caching=args.prefix_caching,
     )
-    inst = build_instance(cfg, cost_model(args.arch, args.gpu, args.engine))
+    inst = build_instance(
+        cfg, cost_model(cfg["arch"], cfg["gpu"], cfg["engine"], cfg["tp"])
+    )
     rng = np.random.default_rng(args.seed)
     arrivals = np.cumsum(rng.exponential(1.0 / args.rps, size=args.n))
     prompts = rng.integers(64, 1024, size=args.n)

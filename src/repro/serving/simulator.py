@@ -443,11 +443,17 @@ class ServerInstance:
     def _record(self, time: float, kind: EventType, rid: str = "", **data) -> None:
         """Record one event; ``DECODE_STEP`` rows come in bursts through
         :meth:`_decode_burst` instead."""
-        if self._trace is not None:
-            # the payload goes straight into the columns
-            self._trace.record_fields(time, kind, rid, self.name, data)
-        if self._telemetry is not None:
-            self._telemetry.on_event(TraceEvent(time, kind, rid, self.name, data))
+        trace, tel = self._trace, self._telemetry
+        if tel is None:
+            if trace is not None:
+                # columnar traces decompose the payload straight into
+                # the columns; no TraceEvent object is built at all
+                trace.record_fields(time, kind, rid, self.name, data)
+            return
+        event = TraceEvent(time, kind, rid, self.name, data)
+        if trace is not None:
+            trace.append(event)
+        tel.on_event(event)
 
     def _record_admit(self, now: float, req: ServingRequest) -> None:
         """ADMIT event carrying the (re)queue epoch and SLO targets."""
