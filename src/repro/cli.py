@@ -358,7 +358,6 @@ def run_analyze(args) -> int:
     """Mine a recorded trace for anomalies; optionally emit regression
     tests distilled from the highest-scoring incidents."""
     from repro.serving import (
-        default_detectors,
         emit_regression_tests,
         load_jsonl,
         make_detector,

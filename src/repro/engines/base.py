@@ -110,6 +110,17 @@ class PriceTable:
         self.prefill: Dict[Tuple[int, int, int], float] = {}
         self._token_budget: Optional[int] = None
 
+    def _owner(self) -> "ServingCostModel":
+        """The cost model that prices this table's misses."""
+        model = self._model()
+        if model is None:
+            raise ReferenceError(
+                "the ServingCostModel that owns this PriceTable was "
+                "released; keep the cost model alive while its price "
+                "tables are in use"
+            )
+        return model
+
     def decode_seconds(self, batch: int, kv_len: int) -> float:
         """Seconds of one decode step of ``batch`` sequences at mean KV
         length ``kv_len``; ``inf`` when it does not fit in memory."""
@@ -118,7 +129,7 @@ class PriceTable:
             prices = self.decode[batch] = {}
         seconds = prices.get(kv_len)
         if seconds is None:
-            seconds = prices[kv_len] = self._model().decode_step(
+            seconds = prices[kv_len] = self._owner().decode_step(
                 batch, kv_len, self.comp
             ).seconds
         return seconds
@@ -138,7 +149,7 @@ class PriceTable:
         key = (batch, tokens, prefix)
         seconds = self.prefill.get(key)
         if seconds is None:
-            model = self._model()
+            model = self._owner()
             cost = (
                 model.prefill_chunk(batch, tokens, prefix, self.comp)
                 if prefix
@@ -152,7 +163,7 @@ class PriceTable:
         """KV tokens of one sequence that fit alongside weights and
         workspace, bisected over the memory model on first use."""
         if self._token_budget is None:
-            model = self._model()
+            model = self._owner()
             spec = model._memory_spec(self.comp)
             mem = model.memory
             lo, hi = 0, 4_000_000

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.hardware.specs import GPUSpec
 
@@ -152,10 +152,6 @@ class Roofline:
             memory_seconds=memory_s,
             overhead_seconds=overhead_s,
         )
-
-    def time_ops(self, ops: Iterable[OpCost]) -> List[OpTiming]:
-        """Time a sequence of operators."""
-        return [self.time_op(op) for op in ops]
 
     def total_seconds(self, ops: Iterable[OpCost]) -> float:
         """Sum of operator times (sequential execution model).

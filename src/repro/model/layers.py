@@ -9,12 +9,6 @@ from typing import Optional
 import numpy as np
 
 
-def rms_norm(x: np.ndarray, weight: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Root-mean-square LayerNorm (LLaMA-style, no mean subtraction)."""
-    rms = np.sqrt(np.mean(np.square(x), axis=-1, keepdims=True) + eps)
-    return x / rms * weight
-
-
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax."""
     m = np.max(x, axis=axis, keepdims=True)

@@ -42,10 +42,6 @@ class EventLoop:
         """Run ``fn`` after ``delay`` seconds of simulated time."""
         self.schedule(self.now + delay, fn)
 
-    def peek_time(self) -> Optional[float]:
-        """Timestamp of the next pending event, or ``None`` if empty."""
-        return self._heap[0][0] if self._heap else None
-
     @property
     def pending(self) -> int:
         """Number of events still queued."""

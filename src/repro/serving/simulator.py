@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from itertools import accumulate
 from typing import Callable, List, Optional, Sequence, Tuple

@@ -25,12 +25,23 @@ Two refinements over the naive per-event loop:
   ``trace.meta`` and restores ``trace.dropped_events``, which the
   metrics folds and the anomaly miner report instead of silently
   treating a truncated trace as a full run.
-- **Columnar streaming.**  Dumping walks the :class:`Trace` columns
-  directly — signature-resolved payload keys, one reused dict per
-  line — instead of materializing (and permanently caching) a
-  :class:`TraceEvent` per row, which defeated the columnar memory win
-  on export-heavy runs.  The golden manifest
-  (``tests/test_golden_traces.py``) pins the output bytes.
+- **A codec on the columns.**  Both directions work on the
+  :class:`Trace` columns, :data:`WINDOW` rows at a time, and never
+  build a :class:`TraceEvent`.  The dump groups a window's rows by
+  (signature, kind) and formats each group through one ``%`` template
+  that has the kind, the payload keys and the separators already
+  encoded; each column slice becomes JSON text by its tag, the way
+  ``json.dumps`` writes that type (``float.__repr__`` with
+  ``NaN``/``Infinity``, ``int.__repr__``, ``true``/``false``, and
+  ``json.dumps`` itself for side-table objects), and each interned
+  request id and instance name is encoded once.  So the bytes are those
+  of one ``json.dumps`` per event, which the golden manifest
+  (``tests/test_golden_traces.py``) pins.  The load parses each line
+  with the ``json`` module's own scanner, keeps exactly the lines
+  ``json.loads`` plus ``EventType`` would, and writes each window with
+  one :meth:`Trace.record_events` call, which leaves the trace as one
+  ``record_fields`` call per event would.
+  ``tests/test_trace_codec.py`` checks both against the per-event codec.
 
 The Chrome exporter emits the ``trace_event`` JSON object format
 (``{"traceEvents": [...]}``) so a *simulated* serving run opens in
@@ -47,7 +58,11 @@ from __future__ import annotations
 
 import json
 import pathlib
-from typing import Dict, Iterator, List, Optional, Union
+from json.encoder import encode_basestring_ascii as _str_text
+from json.scanner import make_scanner
+from typing import Dict, List, Optional, Union
+
+import numpy as np
 
 from repro.serving.telemetry.spans import Span, build_spans
 from repro.serving.trace import (
@@ -68,6 +83,15 @@ _US = 1e6  # trace_event timestamps are microseconds
 META_KEY = "__trace_meta__"
 #: header schema version (bump when header fields change shape)
 META_SCHEMA = 1
+
+#: rows encoded, or lines staged, per window of the JSONL codec
+WINDOW = 4096
+
+_KIND_NAMES: Dict[str, EventType] = {kind.value: kind for kind in KINDS}
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+_UNBOX = {_FLOAT: float, _INT: int, _BOOL: bool}
+#: Chrome counter track args: (DECODE_STEP payload key, arg name)
+_COUNTERS = (("used_tokens", "kv_used_tokens"), ("batch", "batch"))
 
 
 def _header(trace: Trace, scenario, workload, meta) -> Optional[dict]:
@@ -93,53 +117,108 @@ def _header(trace: Trace, scenario, workload, meta) -> Optional[dict]:
     return {META_KEY: head}
 
 
-def _iter_jsonl(trace: Trace) -> Iterator[str]:
-    """One JSON line per event, streamed straight off the columns.
+def _float_texts(values: np.ndarray) -> List[str]:
+    """``json.dumps`` text of each float: ``float.__repr__``, and
+    ``NaN`` / ``Infinity`` / ``-Infinity`` for the non-finite ones."""
+    texts = list(map(float.__repr__, values.tolist()))
+    if not np.isfinite(values).all():
+        texts = [_NONFINITE.get(text, text) for text in texts]
+    return texts
 
-    Each line is ``{"time", "kind", "request_id", "instance", "data"}``,
-    built without a :class:`TraceEvent` per row: the columns are
-    unboxed to plain Python lists once, payload keys come from the
-    interned signatures, and each line reuses one dict.
+
+#: payload tag -> the ``json.dumps`` texts of a float64 slice of them
+_TAG_TEXTS = {
+    _FLOAT: _float_texts,
+    _INT: lambda v: list(map(int.__repr__, v.astype(np.int64).tolist())),
+    _BOOL: lambda v: ["true" if x else "false" for x in v.tolist()],
+}
+
+
+def _payload_texts(
+    trace: Trace, key: str, rows: np.ndarray
+) -> List[Optional[str]]:
+    """``json.dumps`` text of ``key``'s value on each of ``rows`` (by
+    its tag; ``None`` where the row does not hold the key)."""
+    col = trace._cols[key]
+    values = col.values[rows]
+    tags = col.tags[rows]
+    first = int(tags[0])
+    if first in _TAG_TEXTS and (tags == first).all():
+        return _TAG_TEXTS[first](values)
+    texts: List[Optional[str]] = [None] * len(rows)
+    for tag, encode in _TAG_TEXTS.items():
+        at = np.flatnonzero(tags == tag)
+        if at.size:
+            for i, text in zip(at.tolist(), encode(values[at])):
+                texts[i] = text
+    for i in np.flatnonzero(tags == _OBJ).tolist():
+        texts[i] = json.dumps(trace._obj[(int(rows[i]), key)])
+    return texts
+
+
+def _name_texts(names: List[str]) -> List[str]:
+    """``json.dumps`` text of each interned request id / instance name."""
+    return [
+        _str_text(name) if isinstance(name, str) else json.dumps(name)
+        for name in names
+    ]
+
+
+def _window_lines(
+    trace: Trace, start: int, stop: int,
+    req_texts: List[str], inst_texts: List[str],
+) -> List[str]:
+    """The JSON lines of rows ``[start, stop)``, in row order.
+
+    Rows are grouped by (signature, kind); each group is formatted
+    through one ``%`` template with its kind, keys and separators
+    already encoded, from column slices turned into JSON text by tag.
+    A group where some row lacks one of its signature's keys joins
+    each row's payload on its own.
     """
-    trace._flush()
-    n = len(trace)
-    kind_names = [k.value for k in KINDS]
-    times = trace._time[:n].tolist()
-    kinds = trace._kind[:n].tolist()
-    reqs = trace._req[:n].tolist()
-    insts = trace._inst[:n].tolist()
-    sigs = trace._sig[:n].tolist()
-    req_names = trace._req_names
-    inst_names = trace._inst_names
-    signatures = trace._sigs
-    cols = {
-        key: (col.values[:n].tolist(), col.tags[:n].tolist())
-        for key, col in trace._cols.items()
-    }
-    objs = trace._obj
-    for i in range(n):
-        data: Dict[str, object] = {}
-        for key in signatures[sigs[i]]:
-            values, tags = cols[key]
-            tag = tags[i]
-            if tag == _FLOAT:
-                data[key] = values[i]
-            elif tag == _INT:
-                data[key] = int(values[i])
-            elif tag == _BOOL:
-                data[key] = bool(values[i])
-            elif tag == _OBJ:
-                data[key] = objs[(i, key)]
-            # _ABSENT: key recorded for other events only; skip
-        yield json.dumps(
-            {
-                "time": times[i],
-                "kind": kind_names[kinds[i]],
-                "request_id": req_names[reqs[i]],
-                "instance": inst_names[insts[i]],
-                "data": data,
-            }
-        )
+    group_key = trace._sig[start:stop].astype(np.int64) * len(KINDS)
+    group_key += trace._kind[start:stop]
+    order = np.argsort(group_key, kind="stable")
+    cuts = np.flatnonzero(np.diff(group_key[order])) + 1
+    lines: List[str] = []
+    for group in np.split(order, cuts):
+        rows = group + start
+        first = int(rows[0])
+        keys = trace._sigs[trace._sig[first]]
+        kind = KINDS[trace._kind[first]].value
+        fields = [
+            _float_texts(trace._time[rows]),
+            list(map(req_texts.__getitem__, trace._req[rows].tolist())),
+            list(map(inst_texts.__getitem__, trace._inst[rows].tolist())),
+        ]
+        values = [_payload_texts(trace, key, rows) for key in keys]
+        # the key text json.dumps writes (it converts non-str keys)
+        key_texts = [json.dumps({key: 0})[1:-4] for key in keys]
+        head = '{"time": %s, "kind": "' + kind + '", "request_id": %s, ' \
+            '"instance": %s, "data": '
+        if all(None not in texts for texts in values):
+            data = ", ".join(
+                text.replace("%", "%%") + ": %s" for text in key_texts
+            )
+            template = head + "{" + data + "}}"
+            fields += values
+        else:
+            pieces = [
+                [None if t is None else f"{key}: {t}" for t in texts]
+                for key, texts in zip(key_texts, values)
+            ]
+            fields.append([
+                "{" + ", ".join([p for p in row if p is not None]) + "}"
+                for row in zip(*pieces)
+            ])
+            template = head + "%s}"
+        lines.extend(map(template.__mod__, zip(*fields)))
+    if len(cuts):
+        # back from group order to row order
+        where = np.empty_like(order)
+        where[order] = np.arange(order.size)
+        lines = list(map(lines.__getitem__, where.tolist()))
+    return lines
 
 
 def dump_jsonl(
@@ -155,24 +234,23 @@ def dump_jsonl(
     line (see the module docstring) together with the trace's
     ring-buffer truncation state; a complete unbounded trace dumped
     without context stays header-less, bytes identical to the legacy
-    format.
+    format.  The events are encoded from the columns, :data:`WINDOW`
+    rows at a time (see the module docstring).
     """
     path = pathlib.Path(path)
     head = _header(trace, scenario, workload, meta)
-    count = 0
+    trace._flush()
+    n = len(trace)
+    req_texts = _name_texts(trace._req_names)
+    inst_texts = _name_texts(trace._inst_names)
     with path.open("w") as fp:
         if head is not None:
             fp.write(json.dumps(head) + "\n")
-        batch: List[str] = []
-        for line in _iter_jsonl(trace):
-            batch.append(line)
-            count += 1
-            if len(batch) >= 4096:
-                fp.write("\n".join(batch) + "\n")
-                batch.clear()
-        if batch:
-            fp.write("\n".join(batch) + "\n")
-    return count
+        for start in range(0, n, WINDOW):
+            stop = min(start + WINDOW, n)
+            lines = _window_lines(trace, start, stop, req_texts, inst_texts)
+            fp.write("\n".join(lines) + "\n")
+    return n
 
 
 def load_jsonl(path: PathLike) -> Trace:
@@ -181,8 +259,13 @@ def load_jsonl(path: PathLike) -> Trace:
     Corrupt lines (e.g. the half-written tail of a dump truncated
     mid-run, or an event whose ``data`` is not a JSON object) are
     skipped, not fatal — the partial-trace-tolerant folds downstream
-    account for the requests they cut off.  Each event is written
-    straight into the trace's columns (no :class:`TraceEvent` is built).
+    account for the requests they cut off.  A line is kept exactly when
+    ``json.loads`` parses it and its ``kind`` names an
+    :class:`EventType`; each is parsed by the ``json`` scanner itself,
+    and the events are staged :data:`WINDOW` at a time and written with
+    one :meth:`Trace.record_events` call (no :class:`TraceEvent` is
+    built), which leaves the trace as one ``record_fields`` call per
+    event would.
 
     A metadata header line, when present, is surfaced as ``trace.meta``
     and its ``dropped_events`` restored onto the rebuilt trace, so a
@@ -193,15 +276,26 @@ def load_jsonl(path: PathLike) -> Trace:
     """
     trace = Trace()
     path = pathlib.Path(path)
+    # json.loads(line) is this scan plus two checks: no leading BOM,
+    # which the scanner rejects anyway, and nothing after the value
+    # (the stripped line leaves no whitespace to skip)
+    scan = make_scanner(json.JSONDecoder())
+    times: List[float] = []
+    kinds: List[EventType] = []
+    reqs: List[str] = []
+    insts: List[str] = []
+    datas: List[dict] = []
     with path.open() as fp:
         for line in fp:
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except ValueError:
+                obj, end = scan(line, 0)
+            except (StopIteration, ValueError):
                 continue  # truncated / corrupt line
+            if end != len(line):
+                continue
             if isinstance(obj, dict) and META_KEY in obj:
                 head = obj[META_KEY]
                 if isinstance(head, dict) and not trace.meta:
@@ -214,17 +308,22 @@ def load_jsonl(path: PathLike) -> Trace:
                         pass
                 continue
             try:
-                kind = EventType(obj["kind"])
+                kind = _KIND_NAMES[obj["kind"]]
                 time = float(obj["time"])
             except (ValueError, KeyError, TypeError):
                 continue  # truncated / corrupt line
             data = obj.get("data", {})
             if not isinstance(data, dict):
                 continue  # corrupt payload
-            trace.record_fields(
-                time, kind, str(obj.get("request_id", "")),
-                str(obj.get("instance", "")), data,
-            )
+            times.append(time)
+            kinds.append(kind)
+            reqs.append(str(obj.get("request_id", "")))
+            insts.append(str(obj.get("instance", "")))
+            datas.append(data)
+            if len(times) == WINDOW:
+                trace.record_events(times, kinds, reqs, insts, datas)
+                times, kinds, reqs, insts, datas = [], [], [], [], []
+    trace.record_events(times, kinds, reqs, insts, datas)
     return trace
 
 
@@ -250,6 +349,16 @@ def _span_events(
         _span_events(child, pid, tid, out)
 
 
+def _value(trace: Trace, row: int, key: str):
+    """The value ``key`` holds on ``row``, of the type it was recorded
+    with (the row must hold the key)."""
+    col = trace._cols[key]
+    tag = col.tags[row]
+    if tag == _OBJ:
+        return trace._obj[(row, key)]
+    return _UNBOX[tag](col.values[row])
+
+
 def to_chrome_trace(
     trace: Trace, spans: Optional[List[Span]] = None
 ) -> dict:
@@ -258,6 +367,8 @@ def to_chrome_trace(
     One *process* per serving instance (unnamed instances fold into a
     ``serving`` process), one *thread* lane per request carrying its
     nested span tree, plus instant markers and KV/batch counter tracks.
+    The markers and counters are picked from the columns: only the
+    instant rows are materialized as :class:`TraceEvent` objects.
     """
     if spans is None:
         spans = build_spans(trace)
@@ -292,9 +403,20 @@ def to_chrome_trace(
         _span_events(root, pid, tid, events)
 
     tids = {root.request_id: tid for tid, root in enumerate(spans, start=1)}
-    for e in trace.events:
-        pid = pid_for(e.instance)
-        if e.kind in (EventType.PREEMPT, EventType.REJECT):
+    instant = (EventType.PREEMPT, EventType.REJECT)
+    marked = [trace.rows_of(k) for k in (*instant, EventType.DECODE_STEP)]
+    n = len(trace)
+    kinds = trace._kind[:n].tolist()
+    instances = trace._inst[:n].tolist()
+    # an instance's process is named at its first row of any kind
+    _, first = np.unique(trace._inst[:n], return_index=True)
+    rows = np.unique(np.concatenate([*marked, first])).tolist()
+    counters = [(key, name, trace.payload(key)[1]) for key, name in _COUNTERS]
+    for row in rows:
+        pid = pid_for(trace._inst_names[instances[row]])
+        kind = KINDS[kinds[row]]
+        if kind in instant:
+            e = trace._event(row)
             events.append(
                 {
                     "name": e.kind.value,
@@ -307,19 +429,19 @@ def to_chrome_trace(
                     "args": dict(e.data),
                 }
             )
-        elif e.kind is EventType.DECODE_STEP:
-            args = {}
-            if "used_tokens" in e.data:
-                args["kv_used_tokens"] = e.data["used_tokens"]
-            if "batch" in e.data:
-                args["batch"] = e.data["batch"]
+        elif kind is EventType.DECODE_STEP:
+            args = {
+                name: _value(trace, row, key)
+                for key, name, present in counters
+                if present is not None and present[row]
+            }
             if args:
                 events.append(
                     {
                         "name": "kv_and_batch",
                         "cat": "serving",
                         "ph": "C",
-                        "ts": e.time * _US,
+                        "ts": float(trace._time[row]) * _US,
                         "pid": pid,
                         "tid": 0,
                         "args": args,

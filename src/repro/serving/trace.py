@@ -78,7 +78,10 @@ hot-path append) reserve their rows at once but queue their column
 writes; the queue is written in one fancy-indexed assignment per
 column before any read, before a ring shift, and whenever 4096 rows
 are waiting.  Lengths, memory stats, growth and drops are those of an
-immediate write, and no reader can tell the difference.
+immediate write, and no reader can tell the difference.  A block of
+parsed events (:meth:`Trace.record_events`, which ``load_jsonl``
+writes through) is likewise reserved at once and written one column
+assignment per payload signature.
 
 The object API is a set of thin lazy views: ``trace.events``
 indexes and iterates like a list (each row materializes one
@@ -363,19 +366,22 @@ class Trace:
             new_cap = max(self._cap * 2, need)
             if self.max_events is not None:
                 new_cap = min(max(new_cap, need), max(self.max_events, need))
-            self._cap = new_cap
-            for name in ("_time", "_kind", "_req", "_inst", "_sig"):
-                old = getattr(self, name)
-                arr = np.zeros(new_cap, dtype=old.dtype)
-                arr[: old.size] = old
-                setattr(self, name, arr)
-            for col in self._cols.values():
-                col.grow(new_cap)
-            self._recount_bytes()
+            self._grow(new_cap)
         row = self._n
         self._n = row + extra
         self._version += 1
         return row
+
+    def _grow(self, capacity: int) -> None:
+        self._cap = capacity
+        for name in ("_time", "_kind", "_req", "_inst", "_sig"):
+            old = getattr(self, name)
+            arr = np.zeros(capacity, dtype=old.dtype)
+            arr[: old.size] = old
+            setattr(self, name, arr)
+        for col in self._cols.values():
+            col.grow(capacity)
+        self._recount_bytes()
 
     def _intern(self, names: List[str], ids: Dict[str, int], name: str) -> int:
         idx = ids.get(name)
@@ -383,6 +389,17 @@ class Trace:
             idx = ids[name] = len(names)
             names.append(name)
         return idx
+
+    def _intern_all(
+        self, names: List[str], ids: Dict[str, int], keys: Sequence[str]
+    ) -> List[int]:
+        """Intern ``keys`` in order (new names get ids in the order of
+        their first appearance); returns their ids."""
+        for name in dict.fromkeys(keys):
+            if name not in ids:
+                ids[name] = len(names)
+                names.append(name)
+        return list(map(ids.__getitem__, keys))
 
     def _signature(self, keys: Tuple[str, ...]) -> int:
         sig = self._sig_ids.get(keys)
@@ -463,6 +480,83 @@ class Trace:
                 self._set_value(row, self._column(k), k, v)
         else:
             self._sig[row] = 0
+
+    def record_events(
+        self,
+        times: Sequence[float],
+        kinds: Sequence[EventType],
+        request_ids: Sequence[str],
+        instances: Sequence[str],
+        datas: Sequence[Dict[str, object]],
+    ) -> None:
+        """Append a block of events, one per index of the five sequences.
+
+        An unbounded trace ends up as one :meth:`record_fields` call per
+        event leaves it (the same rows, tags, side-table entries, intern
+        and signature order, column order and capacity), but the rows
+        are reserved once and each column is assigned once per
+        signature: a key whose values in one signature's rows are all
+        floats, all bools or all exact ints is written in one
+        fancy-indexed assignment, and any other goes value by value
+        through :meth:`_set_value`, the per-event tag rule.  A bounded
+        trace reserves the block at once, as :meth:`record_decode_steps`
+        does.
+        """
+        k = len(times)
+        if not k:
+            return
+        if self.max_events is None:
+            # the capacity one append at a time reaches: doublings only
+            while self._n + k > self._cap:
+                self._grow(self._cap * 2)
+        row = self._reserve(k)
+        block = slice(row, row + k)
+        self._time[block] = times
+        self._kind[block] = [_KIND_CODE[kind] for kind in kinds]
+        self._req[block] = self._intern_all(
+            self._req_names, self._req_ids, request_ids
+        )
+        self._inst[block] = self._intern_all(
+            self._inst_names, self._inst_ids, instances
+        )
+        keys = list(map(tuple, datas))
+        sigs = list(map(self._sig_ids.get, keys))
+        if None in sigs:
+            for sig_keys in dict.fromkeys(keys):
+                if sig_keys not in self._sig_ids:
+                    self._signature(sig_keys)
+                    for key in sig_keys:
+                        self._column(key)
+            sigs = list(map(self._sig_ids.__getitem__, keys))
+        sigs = np.array(sigs)
+        self._sig[block] = sigs
+        order = np.argsort(sigs, kind="stable")
+        cuts = np.flatnonzero(np.diff(sigs[order])) + 1
+        for group in np.split(order, cuts):
+            sig_keys = self._sigs[sigs[group[0]]]
+            if not sig_keys:
+                continue
+            rows = group + row
+            columns = zip(*[datas[i].values() for i in group.tolist()])
+            for key, values in zip(sig_keys, columns):
+                col = self._cols[key]
+                types = set(map(type, values))
+                t = types.pop() if len(types) == 1 else None
+                if t is float:
+                    tag = _FLOAT
+                elif t is bool:
+                    tag = _BOOL
+                elif t is int and (
+                    -_MAX_EXACT_INT < min(values)
+                    and max(values) < _MAX_EXACT_INT
+                ):
+                    tag = _INT
+                else:
+                    for r, v in zip(rows.tolist(), values):
+                        self._set_value(r, col, key, v)
+                    continue
+                col.values[rows] = values
+                col.tags[rows] = tag
 
     def append(self, event: TraceEvent) -> None:
         """Append an already-built event (decomposed into the columns)."""

@@ -14,6 +14,7 @@ import pytest
 
 from repro.compression import NoCompression, create
 from repro.engines import LMDEPLOY, TRL, ServingCostModel
+from repro.engines.presets import cost_model
 from repro.experiments import serving_disagg
 from repro.hardware import A6000
 from repro.hardware.memory import MemoryModel
@@ -166,3 +167,21 @@ def test_memoized_decode_throughput_matches_a_fresh_step_price():
                 assert model.prices(comp).decode[batch][kv] == cost.seconds
                 oom += cost.oom
     assert oom  # the grid reaches past the memory limit
+
+
+def test_table_read_after_its_cost_model_is_released_says_so():
+    # the table refers to its model weakly: written as one expression,
+    # the model is released before the budget's lazy miss needs it
+    with pytest.raises(ReferenceError, match="ServingCostModel .* released"):
+        cost_model(engine="trl").prices(FP16).token_budget
+    table = cost_model(engine="trl").prices(FP16)
+    for miss in (
+        lambda: table.decode_seconds(1, 128),
+        lambda: table.prefill_seconds(128),
+        lambda: table.prefill_seconds(64, prefix=64),
+    ):
+        with pytest.raises(ReferenceError, match="keep the cost model alive"):
+            miss()
+    # a model kept alive prices the same reads
+    model = cost_model(engine="trl")
+    assert model.prices(FP16).token_budget > 0

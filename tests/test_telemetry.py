@@ -13,7 +13,6 @@ from repro.hardware import A6000
 from repro.kvcache.paged import PagedStore
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
-    EventLoop,
     EventType,
     PrefixIndex,
     ServerInstance,
