@@ -36,11 +36,10 @@ Two refinements over the naive per-event loop:
   ``json.dumps`` itself for side-table objects), and each interned
   request id and instance name is encoded once.  So the bytes are those
   of one ``json.dumps`` per event, which the golden manifest
-  (``tests/test_golden_traces.py``) pins.  The load parses each line
-  with the ``json`` module's own scanner, keeps exactly the lines
-  ``json.loads`` plus ``EventType`` would, and writes each window with
-  one :meth:`Trace.record_events` call, which leaves the trace as one
-  ``record_fields`` call per event would.
+  (``tests/test_golden_traces.py``) pins.  The load keeps exactly the
+  lines ``json.loads`` parses into an event of a known kind, and writes
+  each window with one :meth:`Trace.record_events` call, which leaves
+  the trace as one ``record_fields`` call per event would.
   ``tests/test_trace_codec.py`` checks both against the per-event codec.
 
 The Chrome exporter emits the ``trace_event`` JSON object format
@@ -59,7 +58,6 @@ from __future__ import annotations
 import json
 import pathlib
 from json.encoder import encode_basestring_ascii as _str_text
-from json.scanner import make_scanner
 from typing import Dict, List, Optional, Union
 
 import numpy as np
@@ -89,9 +87,6 @@ WINDOW = 4096
 
 _KIND_NAMES: Dict[str, EventType] = {kind.value: kind for kind in KINDS}
 _NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-_UNBOX = {_FLOAT: float, _INT: int, _BOOL: bool}
-#: Chrome counter track args: (DECODE_STEP payload key, arg name)
-_COUNTERS = (("used_tokens", "kv_used_tokens"), ("batch", "batch"))
 
 
 def _header(trace: Trace, scenario, workload, meta) -> Optional[dict]:
@@ -261,11 +256,10 @@ def load_jsonl(path: PathLike) -> Trace:
     skipped, not fatal — the partial-trace-tolerant folds downstream
     account for the requests they cut off.  A line is kept exactly when
     ``json.loads`` parses it and its ``kind`` names an
-    :class:`EventType`; each is parsed by the ``json`` scanner itself,
-    and the events are staged :data:`WINDOW` at a time and written with
-    one :meth:`Trace.record_events` call (no :class:`TraceEvent` is
-    built), which leaves the trace as one ``record_fields`` call per
-    event would.
+    :class:`EventType`.  The events are staged :data:`WINDOW` at a time
+    and written with one :meth:`Trace.record_events` call (no
+    :class:`TraceEvent` is built), which leaves the trace as one
+    ``record_fields`` call per event would.
 
     A metadata header line, when present, is surfaced as ``trace.meta``
     and its ``dropped_events`` restored onto the rebuilt trace, so a
@@ -276,10 +270,6 @@ def load_jsonl(path: PathLike) -> Trace:
     """
     trace = Trace()
     path = pathlib.Path(path)
-    # json.loads(line) is this scan plus two checks: no leading BOM,
-    # which the scanner rejects anyway, and nothing after the value
-    # (the stripped line leaves no whitespace to skip)
-    scan = make_scanner(json.JSONDecoder())
     times: List[float] = []
     kinds: List[EventType] = []
     reqs: List[str] = []
@@ -291,11 +281,9 @@ def load_jsonl(path: PathLike) -> Trace:
             if not line:
                 continue
             try:
-                obj, end = scan(line, 0)
-            except (StopIteration, ValueError):
+                obj = json.loads(line)
+            except ValueError:
                 continue  # truncated / corrupt line
-            if end != len(line):
-                continue
             if isinstance(obj, dict) and META_KEY in obj:
                 head = obj[META_KEY]
                 if isinstance(head, dict) and not trace.meta:
@@ -349,16 +337,6 @@ def _span_events(
         _span_events(child, pid, tid, out)
 
 
-def _value(trace: Trace, row: int, key: str):
-    """The value ``key`` holds on ``row``, of the type it was recorded
-    with (the row must hold the key)."""
-    col = trace._cols[key]
-    tag = col.tags[row]
-    if tag == _OBJ:
-        return trace._obj[(row, key)]
-    return _UNBOX[tag](col.values[row])
-
-
 def to_chrome_trace(
     trace: Trace, spans: Optional[List[Span]] = None
 ) -> dict:
@@ -367,8 +345,6 @@ def to_chrome_trace(
     One *process* per serving instance (unnamed instances fold into a
     ``serving`` process), one *thread* lane per request carrying its
     nested span tree, plus instant markers and KV/batch counter tracks.
-    The markers and counters are picked from the columns: only the
-    instant rows are materialized as :class:`TraceEvent` objects.
     """
     if spans is None:
         spans = build_spans(trace)
@@ -403,20 +379,9 @@ def to_chrome_trace(
         _span_events(root, pid, tid, events)
 
     tids = {root.request_id: tid for tid, root in enumerate(spans, start=1)}
-    instant = (EventType.PREEMPT, EventType.REJECT)
-    marked = [trace.rows_of(k) for k in (*instant, EventType.DECODE_STEP)]
-    n = len(trace)
-    kinds = trace._kind[:n].tolist()
-    instances = trace._inst[:n].tolist()
-    # an instance's process is named at its first row of any kind
-    _, first = np.unique(trace._inst[:n], return_index=True)
-    rows = np.unique(np.concatenate([*marked, first])).tolist()
-    counters = [(key, name, trace.payload(key)[1]) for key, name in _COUNTERS]
-    for row in rows:
-        pid = pid_for(trace._inst_names[instances[row]])
-        kind = KINDS[kinds[row]]
-        if kind in instant:
-            e = trace._event(row)
+    for e in trace.events:
+        pid = pid_for(e.instance)
+        if e.kind in (EventType.PREEMPT, EventType.REJECT):
             events.append(
                 {
                     "name": e.kind.value,
@@ -429,19 +394,19 @@ def to_chrome_trace(
                     "args": dict(e.data),
                 }
             )
-        elif kind is EventType.DECODE_STEP:
-            args = {
-                name: _value(trace, row, key)
-                for key, name, present in counters
-                if present is not None and present[row]
-            }
+        elif e.kind is EventType.DECODE_STEP:
+            args = {}
+            if "used_tokens" in e.data:
+                args["kv_used_tokens"] = e.data["used_tokens"]
+            if "batch" in e.data:
+                args["batch"] = e.data["batch"]
             if args:
                 events.append(
                     {
                         "name": "kv_and_batch",
                         "cat": "serving",
                         "ph": "C",
-                        "ts": float(trace._time[row]) * _US,
+                        "ts": e.time * _US,
                         "pid": pid,
                         "tid": 0,
                         "args": args,

@@ -366,22 +366,19 @@ class Trace:
             new_cap = max(self._cap * 2, need)
             if self.max_events is not None:
                 new_cap = min(max(new_cap, need), max(self.max_events, need))
-            self._grow(new_cap)
+            self._cap = new_cap
+            for name in ("_time", "_kind", "_req", "_inst", "_sig"):
+                old = getattr(self, name)
+                arr = np.zeros(new_cap, dtype=old.dtype)
+                arr[: old.size] = old
+                setattr(self, name, arr)
+            for col in self._cols.values():
+                col.grow(new_cap)
+            self._recount_bytes()
         row = self._n
         self._n = row + extra
         self._version += 1
         return row
-
-    def _grow(self, capacity: int) -> None:
-        self._cap = capacity
-        for name in ("_time", "_kind", "_req", "_inst", "_sig"):
-            old = getattr(self, name)
-            arr = np.zeros(capacity, dtype=old.dtype)
-            arr[: old.size] = old
-            setattr(self, name, arr)
-        for col in self._cols.values():
-            col.grow(capacity)
-        self._recount_bytes()
 
     def _intern(self, names: List[str], ids: Dict[str, int], name: str) -> int:
         idx = ids.get(name)
@@ -493,22 +490,17 @@ class Trace:
 
         An unbounded trace ends up as one :meth:`record_fields` call per
         event leaves it (the same rows, tags, side-table entries, intern
-        and signature order, column order and capacity), but the rows
-        are reserved once and each column is assigned once per
-        signature: a key whose values in one signature's rows are all
-        floats, all bools or all exact ints is written in one
-        fancy-indexed assignment, and any other goes value by value
-        through :meth:`_set_value`, the per-event tag rule.  A bounded
-        trace reserves the block at once, as :meth:`record_decode_steps`
-        does.
+        and signature order and column order), but the rows are reserved
+        at once, as :meth:`record_decode_steps` reserves a burst, and
+        each column is assigned once per signature: a key whose values
+        in one signature's rows are all floats, all bools or all exact
+        ints is written in one fancy-indexed assignment, and any other
+        goes value by value through :meth:`_set_value`, the per-event
+        tag rule.
         """
         k = len(times)
         if not k:
             return
-        if self.max_events is None:
-            # the capacity one append at a time reaches: doublings only
-            while self._n + k > self._cap:
-                self._grow(self._cap * 2)
         row = self._reserve(k)
         block = slice(row, row + k)
         self._time[block] = times

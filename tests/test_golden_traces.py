@@ -15,10 +15,6 @@ telemetry-instrumented), each at seeds 0 and 1, run on the columnar
 - ``StepMetrics.as_dict()`` in full;
 - ``request_latencies`` and ``queue_delays``.
 
-The Chrome export of each scenario must also be the bytes of the
-row-by-row ``TraceEvent`` scan it replaced (kept below as the oracle),
-with no ``DECODE_STEP`` row left materialized.
-
 Two of the runs are also committed as JSONL recordings with replay
 headers (``tests/golden/<scenario>-0.jsonl``): loading one must fold to
 its manifest entry, and replaying it must be EXACT.  The manifest also
@@ -54,7 +50,6 @@ from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B, LLAMA_13B
 from repro.serving import (
-    EventType,
     PrefixIndex,
     ServerInstance,
     ServingRequest,
@@ -69,11 +64,8 @@ from repro.serving import (
     queue_delays,
     replay_trace,
     request_latencies,
-    to_chrome_trace,
     workload_specs,
 )
-from repro.serving.telemetry.export import _US, _span_events
-from repro.serving.telemetry.spans import build_spans
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -261,64 +253,6 @@ def test_kind_and_request_views_match_scan(manifest):
     for rid in trace.request_ids():
         scan = [e for e in events if e.request_id == rid]
         assert list(trace.for_request(rid)) == scan
-
-
-def reference_chrome_trace(trace) -> dict:
-    """``to_chrome_trace`` scanning every row as a ``TraceEvent``."""
-    spans = build_spans(trace)
-    events = []
-    pids = {}
-
-    def pid_for(instance):
-        if instance not in pids:
-            pids[instance] = len(pids) + 1
-            events.append({
-                "name": "process_name", "ph": "M", "pid": pids[instance],
-                "tid": 0, "args": {"name": instance or "serving"},
-            })
-        return pids[instance]
-
-    for tid, root in enumerate(spans, start=1):
-        pid = pid_for(root.instance)
-        events.append({
-            "name": "thread_name", "ph": "M", "pid": pid, "tid": tid,
-            "args": {"name": root.request_id or f"lane {tid}"},
-        })
-        _span_events(root, pid, tid, events)
-    tids = {root.request_id: tid for tid, root in enumerate(spans, start=1)}
-    for e in trace.events:
-        pid = pid_for(e.instance)
-        if e.kind in (EventType.PREEMPT, EventType.REJECT):
-            events.append({
-                "name": e.kind.value, "cat": "serving", "ph": "i", "s": "t",
-                "ts": e.time * _US, "pid": pid,
-                "tid": tids.get(e.request_id, 0), "args": dict(e.data),
-            })
-        elif e.kind is EventType.DECODE_STEP:
-            args = {}
-            if "used_tokens" in e.data:
-                args["kv_used_tokens"] = e.data["used_tokens"]
-            if "batch" in e.data:
-                args["batch"] = e.data["batch"]
-            if args:
-                events.append({
-                    "name": "kv_and_batch", "cat": "serving", "ph": "C",
-                    "ts": e.time * _US, "pid": pid, "tid": 0, "args": args,
-                })
-    return {"traceEvents": events, "displayTimeUnit": "ms"}
-
-
-@pytest.mark.parametrize(
-    "name,seed", CASES, ids=[f"{n}-{s}" for n, s in CASES]
-)
-def test_chrome_export_matches_event_scan(name, seed):
-    trace = run(name, seed)
-    got = json.dumps(to_chrome_trace(trace))
-    assert not any(
-        e.kind is EventType.DECODE_STEP for e in trace._mat.values()
-    )
-    assert got == json.dumps(reference_chrome_trace(trace))
-    assert '"ph": "C"' in got
 
 
 @pytest.mark.parametrize("name", sorted(RECORDINGS))
