@@ -227,8 +227,8 @@ def run_dashboard(args) -> int:
         labels={"policy": args.policy, "compression": args.algo}
     )
     trace = Trace()
-    loop = EventLoop(telemetry=telemetry)
-    inst.attach(loop, trace, telemetry)
+    loop = EventLoop(trace, telemetry)
+    inst.attach(loop)
     for r in sorted(reqs, key=lambda r: r.arrival):
         inst.submit(r)
     print(header)
@@ -382,7 +382,11 @@ def run_analyze(args) -> int:
             print("[emit-tests] trace has no scenario header; cannot "
                   "rebuild the run for minimization", file=sys.stderr)
             return 2
-        specs = extract_workload(trace).specs
+        # the header's workload carries what events cannot: token ids,
+        # priorities, requests rejected before any admission
+        specs = trace.meta.get("workload")
+        if specs is None:
+            specs = extract_workload(trace).specs
         written = emit_regression_tests(
             report, scenario, specs, args.emit_tests,
             min_score=args.min_score, max_tests=args.max_tests,

@@ -127,7 +127,8 @@ class PagedStore(KVCacheStore):
         self._blocks: Dict[int, _Block] = {}
         self._seqs: Dict[str, _PagedSeq] = {}
         self._copied = 0
-        # running counters (stats() never recounts; see recount_stats())
+        # running counters (stats() never recounts; the tests check
+        # them against a recount of the block tables)
         self._live = 0  # live slots across referenced (ref_count>0) blocks
         # content-addressed state
         self._index: Dict[BlockKey, int] = {}  # block key -> block id
@@ -441,24 +442,3 @@ class PagedStore(KVCacheStore):
             copied_tokens=self._copied,
             cached_tokens=len(self._lru) * self.block_size,
         )
-
-    def recount_stats(self) -> StoreStats:
-        """Slow recount from the block tables (test oracle for the
-        running counters maintained by :meth:`stats`)."""
-        live = sum(
-            len(b.live_slots)
-            for b in self._blocks.values()
-            if b.ref_count > 0
-        )
-        return StoreStats(
-            allocated_tokens=len(self._blocks) * self.block_size,
-            live_tokens=live,
-            capacity_tokens=self.n_blocks * self.block_size,
-            copied_tokens=self._copied,
-            cached_tokens=len(self._lru) * self.block_size,
-        )
-
-    def recount_sequence_tokens(self, seq_id: str) -> int:
-        """Slow per-sequence live recount (test oracle)."""
-        seq = self._seqs[seq_id]
-        return sum(len(self._blocks[bid].live_slots) for bid in seq.blocks)

@@ -52,7 +52,6 @@ from repro.serving.telemetry import (
     load_jsonl,
     render_dashboard,
     to_chrome_trace,
-    validate_spans,
     write_chrome_trace,
 )
 from repro.serving.trace import (
@@ -111,7 +110,6 @@ __all__ = [
     "Telemetry",
     "Span",
     "build_spans",
-    "validate_spans",
     "dump_jsonl",
     "load_jsonl",
     "to_chrome_trace",

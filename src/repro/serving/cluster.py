@@ -79,14 +79,14 @@ class Cluster:
         for inst, name in zip(self.instances, names):
             inst.name = name
         self.names = names
-        self._telemetry = None  # active sink of the run in progress
+        self._loop: Optional[EventLoop] = None  # the latest run's loop
 
     def _attach_all(
         self, trace: Optional[Trace], telemetry=None
     ) -> EventLoop:
-        loop = EventLoop(telemetry=telemetry)
+        loop = self._loop = EventLoop(trace, telemetry)
         for inst in self.instances:
-            inst.attach(loop, trace, telemetry)
+            inst.attach(loop)
         return loop
 
     def view(self, index: int) -> InstanceView:
@@ -105,11 +105,12 @@ class Cluster:
         fire inside a decode burst simulated ahead of the shared clock,
         so ``req.arrival`` may lie in the loop's future: the request is
         delivered as one loop event at its arrival (``submit``), never
-        admitted before it.
+        admitted before it.  The route is published to the sink of the
+        latest run's loop: only the run in progress can receive it.
         """
         inst = self.instances[index]
-        if self._telemetry is not None:
-            self._telemetry.on_route(inst.name)
+        if self._loop.telemetry is not None:
+            self._loop.telemetry.on_route(inst.name)
         inst.submit(req)
 
     # ------------------------------------------------------------------
@@ -121,23 +122,16 @@ class Cluster:
     ) -> List[SimulationResult]:
         """Serve pre-assigned per-instance streams on the shared clock.
 
-        ``telemetry`` (opt-in) is shared by every instance and the
-        loop, so one registry aggregates the whole fleet, labeled per
-        instance."""
+        ``trace`` and ``telemetry`` (opt-in) become the sinks of the
+        run's loop, which every instance records into, so one registry
+        aggregates the whole fleet, labeled per instance."""
         if len(streams) != len(self.instances):
             raise ValueError("one request stream per instance required")
-        # this run's sink, whatever the previous run used: a mid-run
-        # route_to() (fallback re-decode) must publish here, not to a
-        # stale sink left over from an earlier run_online()
-        self._telemetry = telemetry
         loop = self._attach_all(trace, telemetry)
         for inst, stream in zip(self.instances, streams):
             for req in sorted(stream, key=lambda r: r.arrival):
                 inst.submit(req)
-        try:
-            loop.run()
-        finally:
-            self._telemetry = None  # the run is over; drop the sink
+        loop.run()
         return [inst.result() for inst in self.instances]
 
     def run_online(
@@ -162,7 +156,6 @@ class Cluster:
         already know a request may arrive so it can break the block and
         consider admission — exactly as the ``submit()`` path does.
         """
-        self._telemetry = telemetry
         loop = self._attach_all(trace, telemetry)
         assignment: Dict[str, int] = {}
 
@@ -177,10 +170,5 @@ class Cluster:
             for inst in self.instances:
                 inst.expect(req.arrival)
             loop.schedule(req.arrival, partial(dispatch, req))
-        try:
-            loop.run()
-        finally:
-            # clear once the loop drains: a later run (or a stray
-            # route_to outside any run) must not publish to this sink
-            self._telemetry = None
+        loop.run()
         return [inst.result() for inst in self.instances], assignment

@@ -10,10 +10,12 @@ live instance state instead of replaying per-instance streams offline.
 Events scheduled for the same timestamp fire in FIFO order (a sequence
 counter breaks ties), so arrival handling stays deterministic.
 
-An optional telemetry sink (duck-typed; see
-:class:`repro.serving.telemetry.Telemetry`) receives the loop's clock,
-pending-event depth, and fired count after every callback.  With
-``telemetry=None`` (the default) the loop is exactly the
+The loop is the one holder of a run's sinks: an optional
+:class:`~repro.serving.trace.Trace` and an optional telemetry sink
+(duck-typed; see :class:`repro.serving.telemetry.Telemetry`), which
+every attached instance records into and which also receives the
+loop's clock, pending-event depth, and fired count after every
+callback.  With both ``None`` (the default) the loop is exactly the
 uninstrumented seed loop.
 """
 
@@ -27,12 +29,13 @@ from typing import Callable, List, Optional, Tuple
 class EventLoop:
     """Shared simulation clock with a time-ordered callback queue."""
 
-    def __init__(self, telemetry=None) -> None:
+    def __init__(self, trace=None, telemetry=None) -> None:
         self.now: float = 0.0
         self._heap: List[Tuple[float, int, Callable[[], None]]] = []
         self._seq = itertools.count()
         self._events_fired = 0
-        self._telemetry = telemetry
+        self.trace = trace
+        self.telemetry = telemetry
 
     def schedule(self, at: float, fn: Callable[[], None]) -> None:
         """Run ``fn`` when the clock reaches ``at`` (clamped to now)."""
@@ -58,7 +61,7 @@ class EventLoop:
         Callbacks may schedule further events; the loop keeps going until
         the queue is empty or every remaining event lies beyond ``until``.
         """
-        tel = self._telemetry
+        tel = self.telemetry
         while self._heap:
             if until is not None and self._heap[0][0] > until:
                 break

@@ -198,11 +198,6 @@ class FleetResult:
     assignment: Dict[str, Tuple[Optional[int], Optional[int]]]
     trace: Optional[Trace] = None
     telemetry: Optional[Telemetry] = None
-    kv_transfers: int = 0
-    kv_transfer_bytes: int = 0
-    kv_transfer_seconds: float = 0.0
-    scale_ups: int = 0
-    scale_downs: int = 0
 
     @property
     def requests(self) -> List[ServingRequest]:
@@ -276,8 +271,6 @@ class DisaggFleet:
                 inst.name = f"dec{i}"
         self._pf_active: List[int] = []
         self._dec_active: List[int] = []
-        self.scale_ups = 0
-        self.scale_downs = 0
 
     @property
     def disaggregated(self) -> bool:
@@ -306,7 +299,6 @@ class DisaggFleet:
             return False
         idx = standby[0]
         active.append(idx)
-        self.scale_ups += 1
         insts[idx].record_event(
             now, EventType.SCALE_UP, "", pool=pool, size=len(active)
         )
@@ -332,7 +324,6 @@ class DisaggFleet:
             ),
         )
         active.remove(idx)
-        self.scale_downs += 1
         insts[idx].record_event(
             now, EventType.SCALE_DOWN, "", pool=pool, size=len(active)
         )
@@ -388,22 +379,14 @@ class DisaggFleet:
         trace: Optional[Trace],
         telemetry: Optional[Telemetry],
     ) -> FleetResult:
-        loop = EventLoop(telemetry=telemetry)
-        self._loop = loop
-        self._trace = trace
-        self._telemetry = telemetry
+        loop = self._loop = EventLoop(trace, telemetry)
         for inst in self.prefill + self.decode:
-            inst.attach(loop, trace, telemetry)
+            inst.attach(loop)
         self._pf_active = list(range(self._pf0))
         self._dec_active = list(range(self._dec0))
         if telemetry is not None:
             telemetry.pool_size.set(float(len(self._pf_active)), pool="prefill")
             telemetry.pool_size.set(float(len(self._dec_active)), pool="decode")
-        self.scale_ups = 0
-        self.scale_downs = 0
-        self._xfers = 0
-        self._xfer_bytes = 0
-        self._xfer_seconds = 0.0
         self._pending: Dict[str, ServingRequest] = {}  # awaiting handoff
         self._live: Dict[str, ServingRequest] = {}  # current-stage object
         self._transit: Set[str] = set()  # between prefill finish and delivery
@@ -466,11 +449,6 @@ class DisaggFleet:
             },
             trace=trace,
             telemetry=telemetry,
-            kv_transfers=self._xfers,
-            kv_transfer_bytes=self._xfer_bytes,
-            kv_transfer_seconds=self._xfer_seconds,
-            scale_ups=self.scale_ups,
-            scale_downs=self.scale_downs,
         )
 
     # -- stage plumbing ------------------------------------------------
@@ -486,8 +464,8 @@ class DisaggFleet:
         idx = self._pick_active(self.prefill, self._pf_active, orig)
         self._assignment.setdefault(orig.request_id, [None, None])[0] = idx
         inst = self.prefill[idx]
-        if self._telemetry is not None:
-            self._telemetry.on_route(inst.name)
+        if self._loop.telemetry is not None:
+            self._loop.telemetry.on_route(inst.name)
         inst.receive(stage)
 
     def _kv_bytes(
@@ -556,9 +534,6 @@ class DisaggFleet:
         )
         dreq.first_token = stage.first_token  # emitted by the prefill pool
         dreq.queued_at = now
-        self._xfers += 1
-        self._xfer_bytes += nbytes
-        self._xfer_seconds += seconds
         inst.record_event(
             now,
             EventType.KV_TRANSFER,
@@ -569,8 +544,8 @@ class DisaggFleet:
             link=self.interconnect.name,
         )
         self._live[lrid] = dreq
-        if self._telemetry is not None:
-            self._telemetry.on_route(inst.name)
+        if self._loop.telemetry is not None:
+            self._loop.telemetry.on_route(inst.name)
         inst.receive(dreq)
 
     # -- autoscaler plumbing -------------------------------------------

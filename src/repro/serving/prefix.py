@@ -33,7 +33,6 @@ class PrefixIndex:
         self,
         block_size: int = 16,
         capacity_blocks: int = 4096,
-        telemetry=None,
     ) -> None:
         if block_size < 1:
             raise ValueError("block_size must be positive")
@@ -47,9 +46,6 @@ class PrefixIndex:
         self.hits = 0
         self.misses = 0
         self.evicted_blocks = 0
-        # duck-typed sink (repro.serving.telemetry.Telemetry); optional so
-        # a standalone index (outside a ServerInstance) can publish too
-        self.telemetry = telemetry
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -88,9 +84,6 @@ class PrefixIndex:
             self.hits += 1
         else:
             self.misses += 1
-        if self.telemetry is not None:
-            self.telemetry.on_prefix_lookup(matched)
-            self.telemetry.sample_prefix(self)
         return matched
 
     def insert(self, token_ids: Sequence[int]) -> int:
@@ -113,8 +106,6 @@ class PrefixIndex:
         while len(blocks) > self.capacity_blocks:
             blocks.popitem(last=False)
             self.evicted_blocks += 1
-        if self.telemetry is not None:
-            self.telemetry.sample_prefix(self)
         return added
 
     @property

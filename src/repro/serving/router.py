@@ -338,9 +338,7 @@ class Router:
         req: RoutedRequest,
         idx: int,
         load_tokens: np.ndarray,
-        load_seconds: np.ndarray,
         occupancy: np.ndarray,
-        queue_depth: np.ndarray,
         cached: int,
         risk: float,
     ) -> float:
@@ -398,9 +396,7 @@ class Router:
         self,
         req: RoutedRequest,
         load_tokens: np.ndarray,
-        load_seconds: np.ndarray,
         occupancy: np.ndarray,
-        queue_depth: np.ndarray,
         cached: Optional[Sequence[int]],
         risk: float,
     ) -> Tuple[int, Optional[int]]:
@@ -411,8 +407,8 @@ class Router:
         scores = np.array(
             [
                 self._compression_score(
-                    req, i, load_tokens, load_seconds, occupancy,
-                    queue_depth, cached[i] if cached is not None else 0,
+                    req, i, load_tokens, occupancy,
+                    cached[i] if cached is not None else 0,
                     float(inst_risk[i]),
                 )
                 for i in range(n)
@@ -463,12 +459,10 @@ class Router:
                 [self._slo_slack(req, i, load_seconds) for i in range(n)]
             ))
         if self.policy == RoutingPolicy.COMPRESSION:
-            # offline has no live caches or queues to probe: no prefix
-            # discount, no queue-depth term
+            # offline has no live caches to probe: no prefix discount
             idx, denied = self._compression_pick(
-                req, load_tokens, load_seconds,
-                self._occupancy_offline(load_tokens),
-                np.zeros(n), None, self._risk(req),
+                req, load_tokens, self._occupancy_offline(load_tokens),
+                None, self._risk(req),
             )
             if denied is not None:
                 self._reroutes += 1
@@ -492,8 +486,6 @@ class Router:
         load_tokens = np.array(
             [v.used_tokens + v.waiting_tokens for v in views], dtype=float
         )
-        # live backlog converted to seconds via each instance's drain rate
-        load_seconds = load_tokens / np.maximum(drain, 1e-6)
         if self.policy == RoutingPolicy.PREFIX:
             # cache affinity against the *live* prefix indices: longest
             # cached prefix wins, least-loaded when nobody holds any
@@ -519,9 +511,6 @@ class Router:
             )
             risk = self._risk(req)
             occupancy = np.array([v.occupancy for v in views])
-            queue_depth = np.array(
-                [v.queue_depth for v in views], dtype=float
-            )
             # compression-aware load accounting: a sparse cache caps the
             # KV it holds per sequence, so a sparse instance's
             # used_tokens under-report its live work by ~kv/cap — taken
@@ -540,18 +529,8 @@ class Router:
             waiting = np.array(
                 [v.waiting_tokens for v in views], dtype=float
             )
-            load_corr = used * sparse_corr + waiting
-            # drain-neutral backlog pricing: admission wait is dominated
-            # by prefill compute and the concurrency cap, both identical
-            # across compression variants — pricing backlog with each
-            # instance's *decode* rate would let the compressed
-            # instances absorb deep queues before the lossless one ever
-            # looks attractive.  Instance speed still enters through the
-            # request's own prefill + decode terms in the score.
-            mean_drain = float(np.mean(np.maximum(drain, 1e-6)))
             idx, denied = self._compression_pick(
-                req, load_corr, load_corr / mean_drain, occupancy,
-                queue_depth, cached, risk,
+                req, used * sparse_corr + waiting, occupancy, cached, risk,
             )
             self._routed_by_rid[req.request_id] = (req, risk)
             if denied is not None:
@@ -561,6 +540,8 @@ class Router:
                     risk=risk, threshold=self.risk_threshold, denied=denied,
                 )
             return idx
+        # live backlog converted to seconds via each instance's drain rate
+        load_seconds = load_tokens / np.maximum(drain, 1e-6)
         return self._pick(req, load_tokens, load_seconds)
 
     def _make_request(self, req: RoutedRequest, idx: int) -> ServingRequest:

@@ -286,23 +286,12 @@ class ServerInstance:
         self._sbatch_size = 0
         self._smax_prompt = 0
 
-    def attach(
-        self,
-        loop: EventLoop,
-        trace: Optional[Trace] = None,
-        telemetry=None,
-    ) -> None:
-        """Bind this instance to a (possibly shared) event loop.
-
-        ``telemetry`` is an opt-in :class:`~repro.serving.telemetry.
-        Telemetry` sink: every recorded event is also folded into its
-        metrics registry, and each wake-up samples live gauges.  Left
-        ``None``, nothing is published and the run is bit-for-bit the
-        uninstrumented one.
-        """
+    def attach(self, loop: EventLoop) -> None:
+        """Bind this instance to a (possibly shared) event loop and to
+        the trace and opt-in telemetry sinks the loop holds."""
         self._loop = loop
-        self._trace = trace
-        self._telemetry = telemetry
+        self._trace = loop.trace
+        self._telemetry = loop.telemetry
         self._init_state()
 
     def submit(self, req: ServingRequest) -> None:
@@ -393,8 +382,8 @@ class ServerInstance:
         telemetry=None,
     ) -> SimulationResult:
         """Serve ``requests`` on a private event loop; returns latencies."""
-        loop = EventLoop(telemetry=telemetry)
-        self.attach(loop, trace, telemetry)
+        loop = EventLoop(trace, telemetry)
+        self.attach(loop)
         for r in sorted(requests, key=lambda r: r.arrival):
             self.submit(r)
         loop.run()

@@ -31,7 +31,7 @@ from repro.serving.telemetry.registry import (
     MetricsRegistry,
     log_buckets,
 )
-from repro.serving.telemetry.spans import Span, build_spans, validate_spans
+from repro.serving.telemetry.spans import Span, build_spans
 
 __all__ = [
     "Counter",
@@ -43,7 +43,6 @@ __all__ = [
     "Telemetry",
     "Span",
     "build_spans",
-    "validate_spans",
     "dump_jsonl",
     "load_jsonl",
     "to_chrome_trace",

@@ -47,10 +47,10 @@ The Chrome exporter emits the ``trace_event`` JSON object format
 ``chrome://tracing`` / Perfetto like a real profile: one process per
 serving instance, one thread lane per request, complete (``"X"``)
 events for the span tree :func:`build_spans` derives (children nested
-inside their request's root span by containment), instant (``"i"``)
-markers for preemptions/rejections/prefix hits, and counter (``"C"``)
-tracks for KV occupancy and batch size.  Timestamps are microseconds,
-per the spec.
+inside their request's root span by containment; a prefix hit is a
+zero-length ``prefix_lookup`` span), instant (``"i"``) markers for
+preemptions and rejections only, and counter (``"C"``) tracks for KV
+occupancy and batch size.  Timestamps are microseconds, per the spec.
 """
 
 from __future__ import annotations

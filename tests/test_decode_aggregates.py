@@ -410,7 +410,7 @@ def test_burst_horizon_matches_member_formula(
 ):
     inst = burst_instance()
     trace = Trace()
-    inst.attach(EventLoop(), trace)
+    inst.attach(EventLoop(trace))
     for i, (prompt, response, frac) in enumerate(members):
         req = ServingRequest(f"m{i}", 0.0, prompt, response)
         req.generated = 1 + int(frac * (response - 1))  # 1 <= g < response

@@ -208,3 +208,43 @@ def test_emit_regression_tests_runnable_and_idempotent(tmp_path):
                                   max_evals=24)
     assert again == written
     assert len(list(out.glob("test_mined_*.py"))) == 1
+
+
+def test_analyze_emits_from_the_header_workload(tmp_path, monkeypatch):
+    """``cli analyze --emit-tests`` minimizes over the workload the
+    export header recorded: token ids and priorities never reach a
+    trace event, so a workload rebuilt from the events would lose them
+    (and with them every prefix hit the incident depends on)."""
+    import repro.serving
+    from repro.cli import main
+    from repro.serving import dump_jsonl, load_jsonl, workload_specs
+
+    scenario = fleet_scenario(decode=[instance_config(
+        algo="fp16", policy="priority", prefix_caching=True)])
+    shared = list(range(50_000, 50_064))
+    specs = [
+        dict(request_id=f"r{i}", arrival=0.1 * i, prompt_len=96,
+             response_len=8, priority=i % 3,
+             token_ids=shared + list(range(1000 * i, 1000 * i + 32)))
+        for i in range(6)
+    ]
+    requests = make_requests(specs)
+    trace = Trace()
+    build_scenario(scenario).serve(requests, trace=trace)
+    path = tmp_path / "run.jsonl"
+    dump_jsonl(trace, path, scenario=scenario,
+               workload=workload_specs(requests))
+
+    received = []
+
+    def record(report, scenario, specs, out_dir, **kw):
+        received.append(specs)
+        return []
+
+    monkeypatch.setattr(repro.serving, "emit_regression_tests", record)
+    out = tmp_path / "mined"
+    assert main(["analyze", str(path), "--emit-tests", str(out)]) == 0
+    header = load_jsonl(path).meta["workload"]
+    assert received == [header]
+    assert all(s["token_ids"] for s in header)
+    assert any(s["priority"] for s in header)

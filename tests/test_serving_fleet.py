@@ -4,6 +4,8 @@ bit-for-bit parity — plus the cluster-state regression cases (stale
 telemetry sink across runs, doomed-request occupancy inflation,
 route_to mid-run semantics)."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,9 @@ class TestKVTransfer:
             )
             assert ev.data["link"] == "nvlink-a6000"
             assert ev.instance == "dec0"  # recorded at the receiver
-        assert res.kv_transfers == 3
-        assert res.kv_transfer_bytes == 3 * 300 * per_token
+        m = StepMetrics.from_trace(trace)
+        assert m.kv_transfers == len(res.completed) == 3
+        assert m.kv_transfer_bytes == 3 * 300 * per_token
 
     def test_compressed_kv_ships_fewer_bytes(self):
         from repro.compression import create
@@ -140,14 +143,41 @@ class TestKVTransfer:
     def test_telemetry_counters_match_trace(self):
         tel = Telemetry()
         trace = Trace()
-        res = DisaggFleet(instances(1), instances(1)).serve(
+        DisaggFleet(instances(1), instances(1)).serve(
             requests(4), trace=trace, telemetry=tel
         )
-        assert tel.kv_transfers.total() == res.kv_transfers == 4
-        assert tel.kv_transfer_bytes.total() == res.kv_transfer_bytes
+        m = StepMetrics.from_trace(trace)
+        assert tel.kv_transfers.total() == m.kv_transfers == 4
+        assert tel.kv_transfer_bytes.total() == m.kv_transfer_bytes
         assert tel.kv_transfer_seconds.total() == pytest.approx(
-            res.kv_transfer_seconds
+            m.kv_transfer_seconds
         )
+
+    def test_routes_published_through_the_loop(self):
+        """Every placement the fleet makes, on either pool, reaches the
+        run's sink through the loop: one ``router_routed_total`` count
+        per prefill and per decode placement."""
+        from repro.experiments import serving_disagg
+
+        tel = Telemetry()
+        specs = serving_disagg.build_workload(
+            10.0, n=120, seed=serving_disagg.SEED
+        )
+        fleet = serving_disagg.build_fleet("disagg")
+        res = fleet.serve(
+            serving_disagg.make_requests(specs), trace=Trace(), telemetry=tel
+        )
+        placed = Counter()
+        for pf, dec in res.assignment.values():
+            if pf is not None:
+                placed[fleet.prefill[pf].name] += 1
+            if dec is not None:
+                placed[fleet.decode[dec].name] += 1
+        routed = {
+            labels["instance"]: int(v) for labels, v in tel.routed.series()
+        }
+        assert routed == placed
+        assert sum(routed.values()) > len(specs)  # both pools placed
 
 
 class TestDisaggServe:
@@ -236,22 +266,20 @@ class TestAutoscaler:
             autoscaler=Autoscaler(tick=0.25, queue_high=2.0),
         )
         res = fleet.serve(burst_requests(), trace=trace)
-        assert res.scale_ups >= 1
-        assert res.scale_downs >= 1
+        # scale events land in the trace, its metrics fold and the registry
+        m = StepMetrics.from_trace(trace)
+        assert m.scale_ups >= 1
+        assert m.scale_downs >= 1
         ups = trace.of_kind(EventType.SCALE_UP)
         downs = trace.of_kind(EventType.SCALE_DOWN)
-        assert len(ups) == res.scale_ups
-        assert len(downs) == res.scale_downs
+        assert len(ups) == m.scale_ups
+        assert len(downs) == m.scale_downs
         for ev in ups + downs:
             assert ev.data["pool"] in ("prefill", "decode")
             assert ev.data["size"] >= 1
-        # scale events land in the metrics fold and the registry
-        m = StepMetrics.from_trace(trace)
-        assert m.scale_ups == res.scale_ups
-        assert m.scale_downs == res.scale_downs
         tel = res.telemetry
         assert tel is not None  # created internally for the controller
-        assert tel.scale_events.total() == res.scale_ups + res.scale_downs
+        assert tel.scale_events.total() == m.scale_ups + m.scale_downs
         for pool in ("prefill", "decode"):
             assert tel.pool_size.value(pool=pool) >= 1.0
 
@@ -280,22 +308,12 @@ class TestAutoscaler:
 
 
 class TestClusterTelemetryLifecycle:
-    """Regression: the active sink must be set by BOTH entry points and
-    cleared when the loop drains — a stale sink from an earlier
+    """Regression: a mid-run route_to publishes to the sink of the run
+    in progress, set by either entry point — a sink from an earlier
     run_online() must never receive a later run's route_to events."""
 
     def _pick(self, req, views, now):
         return 0
-
-    def test_sink_cleared_after_each_run(self):
-        tel = Telemetry()
-        cluster = Cluster(instances(2))
-        cluster.run_online(
-            requests(2), self._pick, lambda r, i, n: r, telemetry=tel
-        )
-        assert cluster._telemetry is None
-        cluster.run([requests(2), []], telemetry=tel)
-        assert cluster._telemetry is None
 
     def test_stale_sink_not_published_by_later_run(self):
         tel = Telemetry()

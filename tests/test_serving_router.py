@@ -228,9 +228,9 @@ class TestCompressionPolicy:
         # compressed looks far cheaper; the gate must deny it
         views = [view(0, used=20000, waiting=20000, queue=4), view(1)]
         trace = Trace()
-        loop = EventLoop()
+        loop = EventLoop(trace)
         for inst in insts:
-            inst.attach(loop, trace=trace)
+            inst.attach(loop)
         idx = router._pick_online(req, views, np.ones(2), now=0.0)
         assert idx == 0
         assert router._reroutes == 1
