@@ -2,11 +2,13 @@
 
 ``FunctionalTransformer`` runs prefill and decode exactly like a serving
 engine would: prefill projects the whole prompt, appends K/V to the
-session cache and computes causal attention; decode appends one token at
-a time.  A *compressor* (duck-typed, see :mod:`repro.compression.base`)
-can observe attention probabilities and mutate the cache (quantize
-entries in place, evict positions) after every phase — mirroring where
-real KV-compression implementations hook into the serving stack.
+session cache and computes causal attention (in the last layer for the
+final position only, the one whose logits it returns); decode appends
+one token at a time.  A *compressor* (duck-typed, see
+:mod:`repro.compression.base`) can observe attention probabilities and
+mutate the cache (quantize entries in place, evict positions) after
+every phase — mirroring where real KV-compression implementations hook
+into the serving stack.
 
 Attention probabilities are only materialized when the compressor's
 ``needs_probs`` flag demands it; with the flash-style implementation the
@@ -17,7 +19,7 @@ FlashAttention incompatibility discussed in the paper (Section 3.1.2).
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -165,19 +167,51 @@ class FunctionalTransformer:
         return x
 
     # ------------------------------------------------------------------
+    def _last_layer_forward(
+        self,
+        x: np.ndarray,
+        cache: SessionCache,
+        q_pos: np.ndarray,
+        compressor,
+        read: bool,
+    ) -> Optional[np.ndarray]:
+        """A prefill span's last layer: K/V for every position, the rest
+        for the final one, the only position whose output is read
+        (returned, (b, 1, d_model)); K/V alone, returning None, when not
+        ``read``.  A compressor that ``needs_probs`` still attends from
+        every query chunk, so ``observe`` sees every row."""
+        c = self.config
+        li = c.n_layers - 1
+        w = self.weights.layers[li]
+        q, k, v = w.attn.project_qkv(x, c.n_heads, c.n_kv_heads, c.head_dim)
+        cache[li].append(k, v)
+        if not read:  # an FP16 block before the final one: no compressor
+            return None
+        if not self._wants_probs(compressor):
+            q, q_pos = q[:, :, -1:], q_pos[-1:]
+        attn = self._attend(li, q, cache, q_pos, compressor)[:, :, -1:]
+        x = x[:, -1:] + w.attn.project_out(attn)
+        x += w.mlp.forward(x, cache.workspace(3 * len(x) * c.d_ff))
+        if compressor is not None:
+            compressor.compress(li, cache[li], "prefill")
+        return x
+
     def _prefill_span(
         self,
         tokens: np.ndarray,
         cache: SessionCache,
         compressor,
-    ) -> np.ndarray:
-        """One contiguous prefill span starting at ``cache.length``."""
+        read: bool = True,
+    ) -> Optional[np.ndarray]:
+        """One contiguous prefill span starting at ``cache.length``;
+        returns its last position's logits, or None when not ``read``."""
         b, L = tokens.shape
         x = self.embed(tokens)
         q_pos = np.arange(cache.length, cache.length + L)
-        for li in range(self.config.n_layers):
+        for li in range(self.config.n_layers - 1):
             x = self._layer_forward(li, x, cache, q_pos, compressor, "prefill")
-        return self.logits(x[:, -1])
+        x = self._last_layer_forward(x, cache, q_pos, compressor, read)
+        return None if x is None else self.logits(x[:, -1])
 
     def prefill(
         self,
@@ -198,7 +232,9 @@ class FunctionalTransformer:
         property that makes warm prefill from a block-aligned reused
         prefix logit-exact versus a cold recompute.  Compressed prefill
         stays single-shot: compressors hook once per layer per prefill,
-        and compressed K/V is never shared anyway.
+        and compressed K/V is never shared anyway.  Either way the last
+        layer computes only the final position's output
+        (:meth:`_last_layer_forward`).
         """
         if compressor is not None:
             return self._prefill_span(tokens, cache, compressor)
@@ -210,7 +246,8 @@ class FunctionalTransformer:
         while pos < start + total:
             end = min((pos // bs + 1) * bs, start + total)
             logits = self._prefill_span(
-                tokens[:, pos - start:end - start], cache, None
+                tokens[:, pos - start:end - start], cache, None,
+                read=end == start + total,
             )
             pos = end
         return logits

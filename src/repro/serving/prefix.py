@@ -43,6 +43,11 @@ class PrefixIndex:
         # each resident key maps to itself, so a probe finds the stored
         # key object to chain the next probe on
         self._blocks: "OrderedDict[BlockKey, BlockKey]" = OrderedDict()
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop every resident block and zero the counters."""
+        self._blocks.clear()
         self.hits = 0
         self.misses = 0
         self.evicted_blocks = 0

@@ -285,6 +285,9 @@ class ServerInstance:
         # its padded steps are priced at (0: continuous batching)
         self._sbatch_size = 0
         self._smax_prompt = 0
+        # a run starts cold: no resident prefix blocks from a previous one
+        if self.prefix_cache is not None:
+            self.prefix_cache.clear()
 
     def attach(self, loop: EventLoop) -> None:
         """Bind this instance to a (possibly shared) event loop and to

@@ -100,6 +100,13 @@ def ref_layer_forward(self, li, x, cache, q_pos, compressor, phase):
     return x
 
 
+def ref_last_layer_forward(self, x, cache, q_pos, compressor, read):
+    """A prefill's last layer as ``ref_layer_forward``: every row,
+    read or not."""
+    li = self.config.n_layers - 1
+    return ref_layer_forward(self, li, x, cache, q_pos, compressor, "prefill")
+
+
 def _equal(a, b):
     return a.dtype == b.dtype and np.array_equal(a, b)
 
@@ -278,6 +285,8 @@ def test_generation_bit_identical_to_reference(
                    lambda self, x, workspace=None: ref_mlp_forward(self, x))
         mp.setattr(codec, "_affine_roundtrip", ref_affine_roundtrip)
         mp.setattr(FunctionalTransformer, "_layer_forward", ref_layer_forward)
+        mp.setattr(FunctionalTransformer, "_last_layer_forward",
+                   ref_last_layer_forward)
         # the default capacity: the cache grows by doubling copies
         mp.setattr(FunctionalTransformer, "new_cache",
                    lambda self, batch, seq_start, capacity=64:

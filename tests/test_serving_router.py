@@ -7,6 +7,7 @@ import pytest
 
 from repro.compression import NoCompression, create
 from repro.engines import LMDEPLOY, ServingCostModel
+from repro.experiments import serving_router
 from repro.hardware import A6000
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
@@ -126,6 +127,34 @@ class TestRepeatedServe:
         a = router.serve(reqs).assignment
         b = router.serve(reqs).assignment
         assert a == b
+
+    def test_reused_router_starts_each_run_cold(self):
+        """Every run starts with empty prefix indexes, so serving one
+        workload twice through one compression router (fallback on)
+        repeats the first run event for event; the second run used to
+        start with the first's resident blocks and hit counts."""
+        algos = serving_router.MIXED_ALGOS
+        router = Router(
+            serving_router.build_fleet(algos), list(algos),
+            RoutingPolicy.COMPRESSION,
+            throughput_fn=serving_router.make_throughput_fn(algos),
+            length_fn=serving_router.length_fn,
+            risk_threshold=0.25, fallback=True,
+        )
+        reqs, _ = serving_router.build_workload(n=48)
+        runs = []
+        for _ in range(2):
+            trace = Trace()
+            res = router.serve_online(reqs, trace=trace)
+            indexes = [
+                (len(p), p.hits, p.misses, p.evicted_blocks)
+                for p in (inst.prefix_cache for inst in router.instances)
+            ]
+            runs.append(
+                (res.assignment, res.fallbacks, list(trace.events), indexes)
+            )
+        assert runs[0][1] and runs[0][3][0][1]  # fallbacks and FP16 hits
+        assert runs[0] == runs[1]
 
 
 # ----------------------------------------------------------------------
