@@ -6,7 +6,7 @@ Top-level convenience exports; see the subpackages for the full API:
 - :mod:`repro.core`        — the public pipeline API
 - :mod:`repro.model`       — functional NumPy transformer (circuits)
 - :mod:`repro.compression` — KIVI / GEAR / H2O / StreamingLLM / SnapKV
-- :mod:`repro.kvcache`     — paged & quantized KV-cache structures
+- :mod:`repro.kvcache`     — paged KV block manager
 - :mod:`repro.hardware`    — GPU specs, roofline, memory model
 - :mod:`repro.engines`     — TRL / TRL+FA / LMDeploy cost models
 - :mod:`repro.serving`     — serving simulator and request router

@@ -8,12 +8,12 @@ sample and length-distribution experiments.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.compression.base import Compressor, NoCompression
+from repro.compression.base import Compressor
 from repro.compression.registry import create
 from repro.datasets.longbench import Sample
 from repro.datasets.metrics import score

@@ -10,7 +10,7 @@ output criterion of Table 4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.stats import gaussian_kde

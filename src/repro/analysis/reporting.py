@@ -7,7 +7,7 @@ series behind its figures.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence, Union
+from typing import List, Mapping, Sequence, Union
 
 Number = Union[int, float]
 

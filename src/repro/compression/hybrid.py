@@ -10,8 +10,6 @@ row.  It demonstrates that the :class:`Compressor` interface composes.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.compression.base import CompressionCostSpec, Compressor
 from repro.compression.quant.kivi import KIVICompressor
 from repro.compression.sparse.h2o import H2OCompressor

@@ -11,7 +11,6 @@ with scales shared across a group of channels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 

@@ -12,8 +12,6 @@ FlashAttention and pays extra score passes in the cost model.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.compression.base import CompressionCostSpec, Compressor
 from repro.compression.sparse.policies import (
     GrowableScores,

@@ -11,7 +11,6 @@ Evaluated in the paper's appendix (Fig. 9).
 
 from __future__ import annotations
 
-import numpy as np
 from scipy.ndimage import uniform_filter1d
 
 from repro.compression.base import CompressionCostSpec, Compressor

@@ -10,8 +10,6 @@ the only sparse method whose prefill throughput stays near the baseline
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.compression.base import CompressionCostSpec, Compressor
 from repro.hardware.roofline import AccessPattern
 from repro.model.cache import LayerCache

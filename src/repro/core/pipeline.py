@@ -9,7 +9,7 @@ boundaries) about deploying that same algorithm on real hardware.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.compression.base import Compressor
 from repro.compression.registry import create

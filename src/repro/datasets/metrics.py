@@ -9,7 +9,7 @@ retrieval, and edit similarity for code completion.  All scores are in
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, Sequence
 
 
 def exact_match(pred: Sequence[int], ref: Sequence[int]) -> float:

@@ -12,7 +12,7 @@ isolation so their contribution to the reproduced shapes is auditable:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -147,7 +147,7 @@ def paged_block_size() -> ExperimentResult:
             store.add_sequence(f"s{i}", int(rng.integers(256, 1024)))
         # evict a random two-thirds of each sequence (H2O-style holes)
         for i in range(24):
-            n = store._seqs[f"s{i}"].length
+            n = store.sequence_tokens(f"s{i}")
             drop = rng.choice(n, size=2 * n // 3, replace=False)
             store.evict(f"s{i}", [int(x) for x in drop])
         st = store.stats()

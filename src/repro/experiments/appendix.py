@@ -24,7 +24,7 @@ from repro.experiments import (
     table6_predictors,
     table7_negative_bench,
 )
-from repro.experiments.common import ALGOS, ALL_ALGOS, ExperimentResult
+from repro.experiments.common import ALGOS, ExperimentResult
 from repro.experiments.fig1_throughput import (
     BATCHES,
     run as fig1_run,

@@ -16,7 +16,6 @@ from typing import Dict, List, Sequence
 
 from repro.analysis.reporting import format_series, format_table
 from repro.experiments.common import (
-    ALGOS,
     ALL_ALGOS,
     ExperimentResult,
     comp_spec,

@@ -9,12 +9,11 @@ ratios flatten the distribution and push mass toward lengthy responses
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.analysis.length_stats import (
-    d_histogram,
     d_kde,
     flatness,
     length_difference,

@@ -16,7 +16,6 @@ import numpy as np
 from repro.analysis.reporting import format_table
 from repro.core.config import ExperimentScale, current_scale
 from repro.experiments.common import (
-    ALGOS,
     ALL_ALGOS,
     ExperimentResult,
     comp_spec,

@@ -9,8 +9,6 @@ Combining algorithms reduces — but does not eliminate — negatives
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
-
 from repro.analysis.reporting import format_table
 from repro.core.config import ExperimentScale, current_scale
 from repro.experiments.common import ALL_ALGOS, ExperimentResult

@@ -10,7 +10,7 @@ exceeds the baseline even though their steady-state memory is smaller.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.hardware.specs import GPUSpec

@@ -20,7 +20,7 @@ bytes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 from repro.hardware.specs import GPUSpec

@@ -9,7 +9,7 @@ live in :mod:`repro.hardware.roofline`, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,5 @@
-"""Systems-level KV-cache stores: contiguous, paged, dual-pool quantized."""
+"""Systems-level KV-cache management: the paged block manager."""
 
-from repro.kvcache.base import CapacityError, KVCacheStore, StoreStats
-from repro.kvcache.contiguous import ContiguousStore
-from repro.kvcache.paged import PagedStore
-from repro.kvcache.quantized import QuantizedPagedStore
+from repro.kvcache.paged import CapacityError, PagedStore, StoreStats
 
-__all__ = [
-    "CapacityError",
-    "KVCacheStore",
-    "StoreStats",
-    "ContiguousStore",
-    "PagedStore",
-    "QuantizedPagedStore",
-]
+__all__ = ["CapacityError", "PagedStore", "StoreStats"]

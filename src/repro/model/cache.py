@@ -13,9 +13,7 @@ real tokens begin (everything before it is permanently masked padding).
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -168,83 +166,3 @@ class SessionCache:
         return float(
             np.mean([lc.retained_counts().mean() for lc in self.layers])
         )
-
-
-class PrefixCache:
-    """Cross-request store of prompt K/V for warm-prefill reuse.
-
-    Entries are keyed by the exact prompt token tuple and hold per-layer
-    ``(k, v)`` snapshots of shape ``(n_kv_heads, len, head_dim)``.  A new
-    prompt can adopt the longest stored entry that is a prefix of it, so
-    a warm FP16 prefill only computes the uncached suffix.  Reuse is
-    capped at ``len(prompt) - 1``: at least one token is always computed
-    so prefill has logits to return.
-
-    Only uncompressed (FP16, no-eviction) caches may be stored — a
-    compressed cache's K/V no longer equals what a cold prefill would
-    produce, the same shareability friction :class:`~repro.kvcache.paged.
-    PagedStore` models at the block level.  Eviction is LRU over
-    ``max_entries``.
-    """
-
-    def __init__(self, max_entries: int = 32) -> None:
-        if max_entries < 1:
-            raise ValueError("max_entries must be positive")
-        self.max_entries = max_entries
-        self._entries: "OrderedDict[Tuple[int, ...], List[Tuple[np.ndarray, np.ndarray]]]" = (
-            OrderedDict()
-        )
-        self.hits = 0
-        self.misses = 0
-        self.reused_tokens = 0
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def put(
-        self,
-        prompt: Sequence[int],
-        layers: List[Tuple[np.ndarray, np.ndarray]],
-    ) -> None:
-        """Store per-layer ``(k, v)`` snapshots for ``prompt``.
-
-        Arrays are copied: callers typically pass views into a live
-        :class:`SessionCache` whose buffers keep mutating during decode.
-        """
-        key = tuple(int(t) for t in prompt)
-        if key in self._entries:
-            self._entries.move_to_end(key)
-            return
-        self._entries[key] = [(np.array(k), np.array(v)) for k, v in layers]
-        while len(self._entries) > self.max_entries:
-            self._entries.popitem(last=False)
-
-    def longest_match(
-        self, prompt: Sequence[int], align: int = 1
-    ) -> Optional[Tuple[int, List[Tuple[np.ndarray, np.ndarray]]]]:
-        """Longest usable cached prefix of ``prompt``.
-
-        Returns ``(matched_len, per_layer_kv)`` with arrays trimmed to
-        ``matched_len`` positions, or ``None`` on a miss.  ``align``
-        rounds the match down to a multiple (the model's prefill block:
-        bit-exact resume requires a block-aligned boundary).  Counts
-        hit / miss / reused-token statistics and refreshes LRU order.
-        """
-        ids = tuple(int(t) for t in prompt)
-        best_key: Optional[Tuple[int, ...]] = None
-        best_len = 0
-        for key in self._entries:
-            usable = min(len(key), len(ids) - 1) // align * align
-            if usable > best_len and key[:usable] == ids[:usable]:
-                best_key, best_len = key, usable
-        if best_key is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(best_key)
-        self.hits += 1
-        self.reused_tokens += best_len
-        layers = [
-            (k[:, :best_len], v[:, :best_len])
-            for k, v in self._entries[best_key]
-        ]
-        return best_len, layers

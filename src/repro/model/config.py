@@ -18,7 +18,7 @@ tests and documentation share one vocabulary for the circuit.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.model.cache import PrefixCache, SessionCache
 from repro.model.sampling import Sampler
 from repro.model.transformer import FunctionalTransformer
 
@@ -26,7 +25,6 @@ class GenerationOutput:
     response_lengths: np.ndarray
     hit_max: np.ndarray
     retained_kv_tokens: float
-    reused_prefix_tokens: int = 0
 
     def __len__(self) -> int:
         return len(self.sequences)
@@ -55,19 +53,12 @@ def generate(
     compressor=None,
     sampler: Optional[Sampler] = None,
     max_new_tokens: int = 256,
-    prefix_cache: Optional[PrefixCache] = None,
 ) -> GenerationOutput:
     """Generate continuations for ``prompts`` under ``compressor``.
 
     The compressor (or ``None`` for the FP16 baseline) observes and
     mutates the KV cache during both prefill and decode, exactly as the
     paper's evaluated algorithms hook into serving engines.
-
-    With a ``prefix_cache``, a single uncompressed prompt whose prefix
-    was prefilled before reuses the stored K/V and only computes the
-    uncached suffix (warm prefill).  Compressed runs never reuse or
-    populate the cache — mutated K/V is unshareable (paper §3.1.2) —
-    and batched runs skip it because left padding misaligns positions.
     """
     tok = model.tokenizer
     tokens, seq_start = left_pad(prompts, tok.special.pad)
@@ -78,26 +69,7 @@ def generate(
     if sampler is None:
         sampler = Sampler(greedy=True)
 
-    reused = 0
-    use_prefix = prefix_cache is not None and compressor is None and batch == 1
-    if use_prefix:
-        match = prefix_cache.longest_match(
-            prompts[0], align=model.prefill_block
-        )
-        if match is not None:
-            reused, layer_kv = match
-            for li, (k, v) in enumerate(layer_kv):
-                cache[li].append(k[None], v[None])
-    logits = model.prefill(tokens[:, reused:], cache, compressor)
-    if use_prefix:
-        # store only whole prefill blocks: a trailing partial block's
-        # K/V is not bit-reproducible in a longer prompt's computation
-        full = len(prompts[0]) // model.prefill_block * model.prefill_block
-        if full:
-            prefix_cache.put(
-                prompts[0][:full],
-                [(lc.k[0, :, :full], lc.v[0, :, :full]) for lc in cache.layers],
-            )
+    logits = model.prefill(tokens, cache, compressor)
     sequences: List[List[int]] = [[] for _ in range(batch)]
     done = np.zeros(batch, dtype=bool)
     hit_max = np.zeros(batch, dtype=bool)
@@ -125,5 +97,4 @@ def generate(
         response_lengths=response_lengths,
         hit_max=hit_max,
         retained_kv_tokens=cache.retained_tokens(),
-        reused_prefix_tokens=reused,
     )

@@ -33,15 +33,6 @@ from repro.model.tokenizer import SyntheticTokenizer
 #: soft cap on score-matrix elements per attention chunk
 _CHUNK_ELEMENTS = 8_000_000
 
-#: FP16 prefill processes prompts in blocks of this many positions,
-#: aligned to absolute position.  Alignment makes every block's K/V a
-#: fixed-shape function of its prefix tokens, so a warm prefill that
-#: resumes at a block boundary replays bit-identical computations —
-#: BLAS matmul rounding depends on operand shapes, so unaligned resume
-#: points would drift by ULPs.  This is also the reuse granularity of
-#: prefix caching (real engines reuse whole KV blocks the same way).
-PREFILL_BLOCK = 64
-
 
 class FlashIncompatibilityError(RuntimeError):
     """Raised when a probs-requiring compressor meets flash attention."""
@@ -55,18 +46,14 @@ class FunctionalTransformer:
         config: FunctionalModelConfig,
         weights: Optional[ModelWeights] = None,
         attention_impl: str = "naive",
-        prefill_block: int = PREFILL_BLOCK,
     ) -> None:
         if attention_impl not in ("naive", "flash"):
             raise ValueError("attention_impl must be 'naive' or 'flash'")
-        if prefill_block < 1:
-            raise ValueError("prefill_block must be positive")
         self.config = config
         self.weights = weights if weights is not None else build_weights(config)
         self.biases = head_biases(config)
         self.tokenizer = SyntheticTokenizer(config.vocab_size)
         self.attention_impl = attention_impl
-        self.prefill_block = prefill_block
 
     # ------------------------------------------------------------------
     def new_cache(
@@ -173,20 +160,16 @@ class FunctionalTransformer:
         cache: SessionCache,
         q_pos: np.ndarray,
         compressor,
-        read: bool,
-    ) -> Optional[np.ndarray]:
-        """A prefill span's last layer: K/V for every position, the rest
-        for the final one, the only position whose output is read
-        (returned, (b, 1, d_model)); K/V alone, returning None, when not
-        ``read``.  A compressor that ``needs_probs`` still attends from
-        every query chunk, so ``observe`` sees every row."""
+    ) -> np.ndarray:
+        """A prefill's last layer: K/V for every position, the rest for
+        the final one, the only position whose output is read (returned,
+        (b, 1, d_model)).  A compressor that ``needs_probs`` still
+        attends from every query chunk, so ``observe`` sees every row."""
         c = self.config
         li = c.n_layers - 1
         w = self.weights.layers[li]
         q, k, v = w.attn.project_qkv(x, c.n_heads, c.n_kv_heads, c.head_dim)
         cache[li].append(k, v)
-        if not read:  # an FP16 block before the final one: no compressor
-            return None
         if not self._wants_probs(compressor):
             q, q_pos = q[:, :, -1:], q_pos[-1:]
         attn = self._attend(li, q, cache, q_pos, compressor)[:, :, -1:]
@@ -196,23 +179,6 @@ class FunctionalTransformer:
             compressor.compress(li, cache[li], "prefill")
         return x
 
-    def _prefill_span(
-        self,
-        tokens: np.ndarray,
-        cache: SessionCache,
-        compressor,
-        read: bool = True,
-    ) -> Optional[np.ndarray]:
-        """One contiguous prefill span starting at ``cache.length``;
-        returns its last position's logits, or None when not ``read``."""
-        b, L = tokens.shape
-        x = self.embed(tokens)
-        q_pos = np.arange(cache.length, cache.length + L)
-        for li in range(self.config.n_layers - 1):
-            x = self._layer_forward(li, x, cache, q_pos, compressor, "prefill")
-        x = self._last_layer_forward(x, cache, q_pos, compressor, read)
-        return None if x is None else self.logits(x[:, -1])
-
     def prefill(
         self,
         tokens: np.ndarray,
@@ -221,36 +187,18 @@ class FunctionalTransformer:
     ) -> np.ndarray:
         """Run the prompt through the model; returns last-position logits.
 
-        ``tokens`` is (batch, prompt_len), already left-padded.  When the
-        cache has been pre-seeded with a reused prefix (prefix caching),
-        ``tokens`` holds only the uncached suffix and query positions
-        continue from ``cache.length``.
-
-        The FP16 path (no compressor) computes in position-aligned
-        blocks of ``prefill_block`` tokens so each block's K/V is a
-        fixed-shape, bit-reproducible function of its prefix — the
-        property that makes warm prefill from a block-aligned reused
-        prefix logit-exact versus a cold recompute.  Compressed prefill
-        stays single-shot: compressors hook once per layer per prefill,
-        and compressed K/V is never shared anyway.  Either way the last
-        layer computes only the final position's output
-        (:meth:`_last_layer_forward`).
+        ``tokens`` is (batch, prompt_len), already left-padded; query
+        positions continue from ``cache.length``.  The whole prompt runs
+        as one span, with or without a compressor, so a compressor hooks
+        once per layer; the last layer computes only the final
+        position's output (:meth:`_last_layer_forward`).
         """
-        if compressor is not None:
-            return self._prefill_span(tokens, cache, compressor)
-        start = cache.length
-        total = tokens.shape[1]
-        bs = self.prefill_block
-        logits = None
-        pos = start
-        while pos < start + total:
-            end = min((pos // bs + 1) * bs, start + total)
-            logits = self._prefill_span(
-                tokens[:, pos - start:end - start], cache, None,
-                read=end == start + total,
-            )
-            pos = end
-        return logits
+        x = self.embed(tokens)
+        q_pos = np.arange(cache.length, cache.length + tokens.shape[1])
+        for li in range(self.config.n_layers - 1):
+            x = self._layer_forward(li, x, cache, q_pos, compressor, "prefill")
+        x = self._last_layer_forward(x, cache, q_pos, compressor)
+        return self.logits(x[:, -1])
 
     def decode_step(
         self,

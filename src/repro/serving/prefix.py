@@ -1,29 +1,67 @@
 """Content-addressed prefix index of the serving simulator.
 
 The simulator prices time, not tensors, so the serving-level prefix
-cache tracks *which* KV blocks an instance holds, keyed the same way
-:class:`~repro.kvcache.paged.PagedStore` keys physical blocks: each
-full block of ``block_size`` token ids gets a chained
-:class:`~repro.kvcache.paged.BlockKey` (its own ids plus the key of the
-block before it), making a cached prefix exactly a chain of matching
-keys.  Each probe key is chained on the stored key of the block before
-it, so a probe costs O(blocks) however long the prompt.  Admission
-asks "how many prompt tokens are already resident?" and prices only the
-uncached suffix via ``ServingCostModel.prefill_chunk``; a cache-affinity
-router asks the same question on every instance (:meth:`peek` — no
-statistics, no LRU touch) to steer a conversation back to the instance
-holding its history.
+cache tracks *which* KV blocks an instance holds, the way vLLM's
+automatic prefix caching and SGLang's RadixAttention key physical
+blocks: each full block of ``block_size`` token ids gets a chained
+:class:`BlockKey` (its own ids plus the key of the block before it),
+making a cached prefix exactly a chain of matching keys.  Each probe
+key is chained on the stored key of the block before it, so a probe
+costs O(blocks) however long the prompt.  Admission asks "how many
+prompt tokens are already resident?" and prices only the uncached
+suffix via ``ServingCostModel.prefill_chunk``; a cache-affinity router
+asks the same question on every instance (:meth:`PrefixIndex.peek` —
+no statistics, no LRU touch) to steer a conversation back to the
+instance holding its history.
 
-Capacity is bounded in blocks with LRU eviction, mirroring the
-unreferenced-block retention pool of :class:`PagedStore`.
+Capacity is bounded in blocks with LRU eviction, the way engines
+retain unreferenced blocks for reuse.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
-from repro.kvcache.paged import BlockKey
+
+class BlockKey:
+    """Chained content key of one full block: its token ids and the key
+    of the block before it, so two keys are equal exactly when their
+    whole prefixes are.
+
+    The hash is computed once, from the parent's and the block's ids,
+    and equality walks both chains in a loop that stops at the first
+    ancestor the two share, so neither recurses through the prefix
+    however long the prompt.  A probe chained on the *stored* key of the
+    block before it compares with its stored match in O(1): the two
+    parents are one object.
+    """
+
+    __slots__ = ("parent", "ids", "_hash")
+
+    def __init__(
+        self, parent: Optional["BlockKey"], ids: Tuple[int, ...]
+    ) -> None:
+        self.parent = parent
+        self.ids = ids
+        self._hash = hash((None if parent is None else parent._hash, ids))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, BlockKey):
+            return NotImplemented
+        a: Optional[BlockKey] = self
+        b: Optional[BlockKey] = other
+        while a is not b:
+            if (
+                a is None or b is None
+                or a._hash != b._hash or a.ids != b.ids
+            ):
+                return False
+            a, b = a.parent, b.parent
+        return True
 
 
 class PrefixIndex:

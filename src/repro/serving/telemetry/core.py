@@ -19,8 +19,6 @@ publishing surface the serving components call:
 - ``on_route(instance)``    — router decision counter.
 - ``on_prefix_lookup`` / ``sample_prefix`` — prefix-index hit/miss
   counters and residency gauges.
-- ``sample_store(store)``   — :class:`~repro.kvcache.paged.PagedStore`
-  occupancy/copy/eviction gauges.
 
 Series points are samples taken when a hook runs: ``queue_depth`` and
 ``running`` get one per wake-up, ``kv_occupancy`` one per decode burst
@@ -246,24 +244,6 @@ class Telemetry:
         self.loop_now = r.gauge(
             "eventloop_clock_seconds", "simulated clock",
         )
-        self.kv_allocated_tokens = r.gauge(
-            "kvstore_allocated_tokens", "tokens of allocated paged blocks",
-        )
-        self.kv_live_tokens = r.gauge(
-            "kvstore_live_tokens", "live KV slots across referenced blocks",
-        )
-        self.kv_cached_tokens = r.gauge(
-            "kvstore_cached_tokens",
-            "tokens retained in unreferenced hashed blocks",
-        )
-        self.kv_copied_tokens = r.gauge(
-            "kvstore_copied_tokens_total",
-            "tokens copied for COW privatization / compaction",
-        )
-        self.kv_cached_evictions = r.gauge(
-            "kvstore_cached_block_evictions_total",
-            "retained blocks reclaimed on demand",
-        )
         self.replay_drift = r.gauge(
             "replay_drift_fields",
             "StepMetrics fields differing between a recorded trace and "
@@ -481,15 +461,6 @@ class Telemetry:
         """Residency gauges from a :class:`PrefixIndex`."""
         self.prefix_blocks.set(len(index))
         self.prefix_evictions.set(index.evicted_blocks)
-
-    def sample_store(self, store) -> None:
-        """Occupancy gauges from a :class:`PagedStore`'s running counters."""
-        bs = store.block_size
-        self.kv_allocated_tokens.set(len(store._blocks) * bs)
-        self.kv_live_tokens.set(store._live)
-        self.kv_cached_tokens.set(store.cached_blocks * bs)
-        self.kv_copied_tokens.set(store._copied)
-        self.kv_cached_evictions.set(store.cached_block_evictions)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> Dict[str, dict]:

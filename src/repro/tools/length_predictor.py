@@ -11,7 +11,7 @@ router), with accuracy defined exactly as in Appendix F:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 

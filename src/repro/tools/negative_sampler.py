@@ -10,7 +10,7 @@ negatives; evaluating {KIVI, GEAR} gives the paper's "Quant (C)" curve,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Sequence, Set
 
 import numpy as np

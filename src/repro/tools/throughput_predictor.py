@@ -12,7 +12,7 @@ noise, as real profiling has — and queried by bilinear interpolation in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator

@@ -1,10 +1,10 @@
 """Chained prefix-block keys: long prompts and the nested-tuple oracle.
 
-``PrefixIndex`` and ``PagedStore`` key each full block by its token ids
-and the key of the block before it (:class:`BlockKey`).  A key caches
-its hash and compares its chain in a loop, so prompts of any length
-hash and match without recursion (nested ``(parent, ids)`` tuples
-overflowed the interpreter's recursion limit at 1,000 blocks).  The
+``PrefixIndex`` keys each full block by its token ids and the key of
+the block before it (:class:`BlockKey`).  A key caches its hash and
+compares its chain in a loop, so prompts of any length hash and match
+without recursion (nested ``(parent, ids)`` tuples overflowed the
+interpreter's recursion limit at 1,000 blocks).  The
 hypothesis test replays random insert / peek / lookup streams, with
 evictions and re-inserts, against the nested-tuple index the key class
 replaced, kept here as the oracle.
@@ -16,8 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.kvcache.paged import BlockKey, PagedStore
-from repro.serving import PrefixIndex
+from repro.serving.prefix import BlockKey, PrefixIndex
 
 
 class NestedTupleIndex:
@@ -128,7 +127,7 @@ def test_long_chains_hash_and_compare_without_recursion(tokens):
 
 
 # ----------------------------------------------------------------------
-# long prompts through both stores
+# long prompts through the index
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("tokens", [16_384, 65_536])
 def test_prefix_index_long_prompts(tokens):
@@ -143,22 +142,6 @@ def test_prefix_index_long_prompts(tokens):
     assert index.peek(other) == (tokens - 40) // 16 * 16
     assert index.insert(other) == 3
     assert (index.hits, index.misses, len(index)) == (1, 0, tokens // 16 + 3)
-
-
-@pytest.mark.parametrize("tokens", [16_384, 65_536])
-def test_paged_store_long_prompts(tokens):
-    ids = list(range(tokens))
-    store = PagedStore(3 * tokens, block_size=16, prefix_caching=True)
-    assert store.add_sequence("a", tokens, ids) == 0
-    assert store.cached_prefix(ids) == tokens
-    assert store.add_sequence("b", tokens, ids) == tokens
-    # the chain keeps growing through decode appends
-    store.append("a", 16, token_ids=list(range(tokens, tokens + 16)))
-    longer = ids + list(range(tokens, tokens + 16))
-    assert store.cached_prefix(longer) == tokens + 16
-    store.free("a")
-    store.free("b")
-    assert store.add_sequence("c", tokens + 16, longer) == tokens + 16
 
 
 # ----------------------------------------------------------------------
@@ -194,18 +177,3 @@ def test_index_matches_nested_tuple_oracle(ops, block_size, capacity):
         assert [chained_prefix(k) for k in index._blocks] == [
             nested_prefix(k) for k in oracle._blocks
         ]
-
-
-@settings(max_examples=100, deadline=None)
-@given(prompts=st.lists(prompt, min_size=1, max_size=12),
-       block_size=st.integers(1, 5))
-def test_paged_store_reuse_matches_nested_tuple_keys(prompts, block_size):
-    # no eviction and no frees: a prompt reuses exactly the leading
-    # blocks some earlier prompt registered
-    store = PagedStore(10_000, block_size=block_size, prefix_caching=True)
-    oracle = NestedTupleIndex(block_size, capacity_blocks=10_000)
-    for i, ids in enumerate(prompts):
-        want = oracle.peek(ids)
-        assert store.cached_prefix(ids) == want
-        assert store.add_sequence(f"s{i}", len(ids), ids) == want
-        oracle.insert(ids)

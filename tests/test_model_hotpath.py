@@ -100,9 +100,8 @@ def ref_layer_forward(self, li, x, cache, q_pos, compressor, phase):
     return x
 
 
-def ref_last_layer_forward(self, x, cache, q_pos, compressor, read):
-    """A prefill's last layer as ``ref_layer_forward``: every row,
-    read or not."""
+def ref_last_layer_forward(self, x, cache, q_pos, compressor):
+    """A prefill's last layer as ``ref_layer_forward``: every row."""
     li = self.config.n_layers - 1
     return ref_layer_forward(self, li, x, cache, q_pos, compressor, "prefill")
 

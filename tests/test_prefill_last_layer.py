@@ -18,7 +18,7 @@ from repro.compression import create
 from repro.model import transformer as transformer_mod
 from repro.model.generate import left_pad
 from repro.model.layers import AttentionWeights, MLPWeights
-from repro.model.transformer import PREFILL_BLOCK, FunctionalTransformer
+from repro.model.transformer import FunctionalTransformer
 
 ALGOS = (
     "fp16", "kivi-4", "gear-4", "h2o-512", "stream-512",
@@ -29,16 +29,16 @@ CASES = [(algo, "naive") for algo in ALGOS] + [
     (algo, "flash") for algo in ALGOS
     if algo == "fp16" or not create(algo).needs_probs
 ]
-#: the longest prompt of a batch (past the 512-token sparse budget, or
-#: not): on a block boundary, one past it, below one block, one token
-LONGEST = (9 * PREFILL_BLOCK, 9 * PREFILL_BLOCK + 1, 40, 1)
+#: the longest prompt of a batch: past the 512-token sparse budget
+#: (twice), below it, and a single token
+LONGEST = (576, 577, 40, 1)
 #: fixed before measuring: float32 accumulation over the 512-wide MLP
 #: (the largest change seen over 528 cases was 2.2e-5)
 RTOL = ATOL = 1e-4
 
 
-def every_row_last_layer(self, x, cache, q_pos, compressor, read):
-    """The last prefill layer over every row, read or not."""
+def every_row_last_layer(self, x, cache, q_pos, compressor):
+    """The last prefill layer over every row."""
     c = self.config
     li = c.n_layers - 1
     w = self.weights.layers[li]
@@ -197,13 +197,12 @@ def _last_layer_calls(model, monkeypatch):
 def test_last_layer_runs_only_the_final_row(
     algo, llama_model, prompt_factory, monkeypatch
 ):
-    """FP16 blocks before the final one run no attention and no MLP in
-    the last layer; the final block (or a compressed single shot) runs
-    the output projection and the MLP on one row per sequence, and
-    attends from one query row unless the compressor needs every row's
-    probabilities, which it still receives chunk by chunk."""
+    """The last layer runs the output projection and the MLP on one row
+    per sequence, and attends from one query row unless the compressor
+    needs every row's probabilities, which it still receives chunk by
+    chunk."""
     monkeypatch.setattr(transformer_mod, "_CHUNK_ELEMENTS", 100_000)
-    tokens, seq_start = _batch(prompt_factory, 3 * PREFILL_BLOCK + 5)
+    tokens, seq_start = _batch(prompt_factory, 197)
     comp = None if algo == "fp16" else create(algo)
     if comp is not None:
         comp.begin(tokens.shape[0], llama_model.config, seq_start)
@@ -223,3 +222,20 @@ def test_last_layer_runs_only_the_final_row(
     else:
         assert [c[1] for c in attends] == [1]
         assert attends[0][2].tolist() == [L - 1]
+
+
+def test_fp16_prefill_is_one_span(llama_model, prompt_factory, monkeypatch):
+    """FP16 prefill runs the same single span as every compressor: one
+    Q/K/V projection per layer over every row of the batch."""
+    shapes = []
+    project_qkv = AttentionWeights.project_qkv
+
+    def project_qkv_spy(self, x, *args):
+        shapes.append(x.shape[:2])
+        return project_qkv(self, x, *args)
+
+    monkeypatch.setattr(AttentionWeights, "project_qkv", project_qkv_spy)
+    tokens, seq_start = _batch(prompt_factory, 197)
+    cache = llama_model.new_cache(tokens.shape[0], seq_start)
+    llama_model.prefill(tokens, cache)
+    assert shapes == [tokens.shape] * llama_model.config.n_layers

@@ -10,7 +10,6 @@ import pytest
 from repro.compression import NoCompression
 from repro.engines import LMDEPLOY, TRL, ServingCostModel
 from repro.hardware import A6000
-from repro.kvcache.paged import PagedStore
 from repro.model.arch import LLAMA_7B
 from repro.serving import (
     EventType,
@@ -224,17 +223,6 @@ class TestTelemetrySink:
         assert hits >= 1
         assert tel.prefix_cached_tokens.total() > 0
         assert tel.prefix_blocks.value() > 0
-
-    def test_paged_store_sink(self):
-        tel = Telemetry()
-        store = PagedStore(1024, block_size=16, telemetry=tel)
-        store.add_sequence("s", 64)
-        assert tel.kv_live_tokens.value() == 64
-        assert tel.kv_allocated_tokens.value() == 64
-        store.evict("s", [0, 1])
-        assert tel.kv_live_tokens.value() == 62
-        store.free("s")
-        assert tel.kv_live_tokens.value() == 0
 
     def test_slo_miss_counter(self):
         inst = instance(max_batch=2)
