@@ -135,10 +135,11 @@ class Compressor(abc.ABC):
     ) -> None:
         """Consume an attention-probability chunk (only if ``needs_probs``).
 
-        ``probs`` is a view of the session's scratch workspace, valid
-        only during this call: the model overwrites it with the next
-        chunk's scores and the MLP's intermediates.  Reduce it (or copy
-        it) before returning.
+        ``probs`` is a view of the model's workspace, valid only during
+        this call: the model overwrites it with the next chunk's scores,
+        the layer's output projection and the MLP's intermediates, and
+        every later model call (another session's included) reuses it.
+        Reduce it (or copy it) before returning.
         """
 
     @abc.abstractmethod

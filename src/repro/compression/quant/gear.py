@@ -34,13 +34,21 @@ def lowrank_approx(err: np.ndarray, rank: int) -> np.ndarray:
 
 
 def outlier_correction(err: np.ndarray, ratio: float) -> np.ndarray:
-    """Exact correction for the largest-magnitude ``ratio`` of entries."""
+    """Exact correction for the largest-magnitude ``ratio`` of entries of
+    each (sequence, head): zeroes every other entry of ``err`` in place
+    and returns it."""
     if ratio <= 0:
-        return np.zeros_like(err)
-    flat = np.abs(err).reshape(err.shape[0], err.shape[1], -1)
+        err[...] = 0
+        return err
+    mag = np.abs(err)
+    flat = mag.reshape(err.shape[0], err.shape[1], -1)
     k = max(1, int(round(ratio * flat.shape[-1])))
-    threshold = np.partition(flat, -k, axis=-1)[..., -k][..., None, None]
-    return np.where(np.abs(err) >= threshold, err, 0.0)
+    flat.partition(-k, axis=-1)
+    threshold = flat[..., -k].copy()[..., None, None]
+    below = np.greater_equal(np.abs(err, out=mag), threshold)
+    np.logical_not(below, out=below)  # NaN magnitudes count as below
+    np.copyto(err, 0, where=below)
+    return err
 
 
 class GEARCompressor(Compressor):
@@ -80,8 +88,10 @@ class GEARCompressor(Compressor):
             x_hat = quant_dequant_per_token(x, self.bits, min(g, dh))
         err = x - x_hat
         corrected = lowrank_approx(err, self._rank(t, dh))
-        corrected += outlier_correction(err - corrected, self.outlier_ratio)
-        return x_hat + corrected
+        residual = np.subtract(err, corrected, out=err)
+        corrected += outlier_correction(residual, self.outlier_ratio)
+        x_hat += corrected
+        return x_hat
 
     def compress(self, layer: int, cache: LayerCache, phase: str) -> None:
         g = self.group_size

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from repro.model.config import HeadRole
 from repro.model.layers import softmax_inplace
@@ -66,20 +67,42 @@ class HeadBias:
         return self.kind != "none" and self.strength != 0.0
 
     def matrix(self, q_pos: np.ndarray, k_pos: np.ndarray) -> np.ndarray:
-        """Bias matrix of shape (len(q_pos), len(k_pos))."""
+        """Bias matrix of shape (len(q_pos), len(k_pos)), for runs of
+        consecutive ascending positions (as every caller's are).
+
+        A read-only view of one small vector: the sink bonus depends on
+        the key alone, every other kind on the offset ``q - k``.
+        """
+        shape = (q_pos.size, k_pos.size)
         if not self.active:
-            return np.zeros((q_pos.size, k_pos.size), dtype=np.float32)
+            return np.broadcast_to(np.float32(0.0), shape)
         if self.kind == "prev_token":
-            dist = np.abs((q_pos[:, None] - 1) - k_pos[None, :])
-            return (-self.strength * dist).astype(np.float32)
+            return by_offset(q_pos, k_pos, lambda d: (
+                -self.strength * np.abs(d - 1)).astype(np.float32))
         if self.kind == "sink":
-            bias = np.zeros((q_pos.size, k_pos.size), dtype=np.float32)
-            bias[:, k_pos == 0] = self.strength
-            return bias
+            bonus = np.float32(self.strength)
+            return np.broadcast_to(
+                np.where(k_pos == 0, bonus, np.float32(0.0)), shape
+            )
         if self.kind == "recency":
-            dist = np.maximum(q_pos[:, None] - k_pos[None, :], 0)
-            return (-self.strength * dist).astype(np.float32)
+            return by_offset(q_pos, k_pos, lambda d: (
+                -self.strength * np.maximum(d, 0)).astype(np.float32))
         raise ValueError(f"unknown bias kind {self.kind!r}")
+
+
+def by_offset(q_pos: np.ndarray, k_pos: np.ndarray, f) -> np.ndarray:
+    """The (len(q_pos), len(k_pos)) matrix ``f(q - k)`` for runs of
+    consecutive ascending positions, as a read-only view of ``f`` over
+    the ``len(q_pos) + len(k_pos) - 1`` distinct offsets."""
+    sq, n = q_pos.size, k_pos.size
+    values = f(np.arange(q_pos[0] - k_pos[-1], q_pos[-1] - k_pos[0] + 1))
+    if values.size != sq + n - 1:
+        raise ValueError("positions must be runs of consecutive integers")
+    step = values.strides[0]
+    # row i, column j reads values[n - 1 + i - j], within 0 .. sq + n - 2
+    return as_strided(
+        values[n - 1:], (sq, n), (step, -step), writeable=False
+    )
 
 
 def expand_kv(x: np.ndarray, gqa_group: int) -> np.ndarray:
@@ -94,9 +117,11 @@ def build_score_mask(
 ) -> Tuple[Optional[np.ndarray], Optional[np.ndarray]]:
     """Additive masks for causality and eviction, as two addends.
 
+    ``q_pos`` and ``k_pos`` are runs of consecutive ascending positions;
     ``keep`` is (batch, kv_heads, n_keys) boolean (True = retained) or
-    None.  Returns ``(causal, evict)``: ``causal`` is (n_q, n_keys) and
-    None when no key lies in any query's future (always so in decode);
+    None.  Returns ``(causal, evict)``: ``causal`` is an (n_q, n_keys)
+    read-only view (:func:`by_offset`) and None when no key lies in any
+    query's future (always so in decode);
     ``evict`` is (batch, kv_heads, 1, n_keys) and None when every key is
     retained.  Adding both to a score equals adding their sum except
     where a key is both in the future and evicted; such a score lands
@@ -104,9 +129,9 @@ def build_score_mask(
     DESIGN.md, "Model hot path").
     """
     causal = evict = None
-    future = k_pos[None, :] > q_pos[:, None]
-    if future.any():
-        causal = np.where(future, NEG_INF, np.float32(0.0))
+    if k_pos[-1] > q_pos[0]:  # some key lies in some query's future
+        causal = by_offset(q_pos, k_pos, lambda d: np.where(
+            d < 0, NEG_INF, np.float32(0.0)))
     if keep is not None and not keep.all():
         evict = np.where(keep, np.float32(0.0), NEG_INF)[:, :, None, :]
     return causal, evict
@@ -145,22 +170,37 @@ def naive_attention(
     keep: Optional[np.ndarray] = None,
     gqa_group: int = 1,
     out: Optional[np.ndarray] = None,
+    attn_out: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Multi-pass attention returning (output, probabilities).
 
     Shapes: q (b, h, sq, dh); k, v (b, kvh, n, dh); output (b, h, sq, dh);
     probabilities (b, h, sq, n).  The scores are computed in ``out``
     (C-contiguous (b, h, sq, n) float32) when given, and the returned
-    probabilities are that buffer.
+    probabilities are that buffer; the output is written to ``attn_out``
+    ((b, h, sq, dh), any strides, not overlapping the inputs) when
+    given.  Grouped query heads multiply through (b, kvh, group, ...)
+    views of one KV head each, never a per-query-head copy of K or V.
     """
     b, h, sq, dh = q.shape
-    kx = expand_kv(k, gqa_group)
-    vx = expand_kv(v, gqa_group)
-    scores = np.matmul(q, np.transpose(kx, (0, 1, 3, 2)), out=out)
+    kvh = h // gqa_group
+
+    def grouped(x: np.ndarray) -> np.ndarray:
+        """(b, h, ...) -> (b, kvh, group, ...), a view."""
+        return x.reshape(b, kvh, gqa_group, *x.shape[2:])
+
+    scores = out
+    if scores is None:
+        scores = np.empty((b, h, sq, k.shape[2]), np.result_type(q, k))
+    if attn_out is None:
+        attn_out = np.empty((b, h, sq, dh), np.result_type(q, v))
+    kt = np.transpose(k, (0, 1, 3, 2))[:, :, None]
+    np.matmul(grouped(q), kt, out=grouped(scores))
     scores *= 1.0 / float(np.sqrt(dh))  # python float: no f64 promotion
     _bias_and_mask(scores, q_pos, k_pos, biases, keep, gqa_group)
     probs = softmax_inplace(scores, axis=-1)
-    return probs @ vx, probs
+    np.matmul(grouped(probs), v[:, :, None], out=grouped(attn_out))
+    return attn_out, probs
 
 
 def flash_attention(

@@ -115,11 +115,15 @@ class LayerCache:
 
 
 class SessionCache:
-    """Per-layer caches for one generation session, plus the session's
-    float32 scratch buffer (:meth:`workspace`).
+    """Per-layer caches for one generation session.
 
     ``capacity`` pre-sizes every layer for that many positions (a caller
     that knows prompt plus response length avoids the doubling copies).
+    The session owns only K/V, keep masks and watermarks: the float32
+    intermediates of its forward passes live in the model's workspace
+    (:meth:`FunctionalTransformer.workspace`), which keeps nothing from
+    one model call to the next, so any number of sessions may interleave
+    on one model.
     """
 
     def __init__(
@@ -136,19 +140,6 @@ class SessionCache:
             for _ in range(n_layers)
         ]
         self.seq_start = seq_start
-        self._scratch = np.empty(0, dtype=np.float32)
-
-    def workspace(self, size: int) -> np.ndarray:
-        """The first ``size`` elements of the session's float32 scratch
-        buffer, which grows on demand and never shrinks.
-
-        The model computes attention scores and MLP intermediates here
-        instead of in fresh temporaries.  Contents are only valid until
-        the next call: each caller overwrites what the previous one left.
-        """
-        if self._scratch.size < size:
-            self._scratch = np.empty(size, dtype=np.float32)
-        return self._scratch[:size]
 
     def __getitem__(self, idx: int) -> LayerCache:
         return self.layers[idx]

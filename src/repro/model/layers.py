@@ -40,7 +40,9 @@ class MLPWeights:
 
         The gate, up and SiLU intermediates occupy three disjoint slices
         of ``workspace``, a vector of at least ``3 * rows * d_ff``
-        elements of the result dtype (allocated when None).  SiLU is
+        elements of the result dtype (allocated when None), and the
+        result is written over the up slice once ``gate *= up`` has
+        consumed it: a view of ``workspace``.  SiLU is
         ``g / (1 + exp(-g))``, evaluated with the same ufuncs in the same
         order as the expression ``silu(x @ w_gate) * (x @ w_up)``.
         """
@@ -58,7 +60,9 @@ class MLPWeights:
         act += 1.0
         np.divide(gate, act, out=gate)
         gate *= up
-        return gate @ self.w_down
+        out_shape = x.shape[:-1] + self.w_down.shape[1:]
+        out = workspace[size:size + math.prod(out_shape)].reshape(out_shape)
+        return np.matmul(gate, self.w_down, out=out)
 
 
 @dataclass
@@ -75,28 +79,48 @@ class AttentionWeights:
     w_o: np.ndarray  # (n_heads * head_dim, d_model)
 
     def project_qkv(
-        self, x: np.ndarray, n_heads: int, n_kv_heads: int, head_dim: int
+        self,
+        x: np.ndarray,
+        n_heads: int,
+        n_kv_heads: int,
+        head_dim: int,
+        out: Optional[np.ndarray] = None,
     ):
         """Project hidden states to per-head Q, K, V.
 
         ``x`` is (batch, seq, d_model); returns Q (b, h, s, dh) and
-        K, V (b, kvh, s, dh).
+        K, V (b, kvh, s, dh): transposed views of the (b, s, heads * dh)
+        projections, which fill the first ``b * s * (h + 2 * kvh) * dh``
+        elements of ``out`` (a vector of the result dtype; allocated
+        when None) in the order Q, K, V.
         """
         b, s, _ = x.shape
-        q = (x @ self.w_q).reshape(b, s, n_heads, head_dim)
-        k = (x @ self.w_k).reshape(b, s, n_kv_heads, head_dim)
-        v = (x @ self.w_v).reshape(b, s, n_kv_heads, head_dim)
-        return (
-            np.transpose(q, (0, 2, 1, 3)),
-            np.transpose(k, (0, 2, 1, 3)),
-            np.transpose(v, (0, 2, 1, 3)),
-        )
+        heads = (n_heads, n_kv_heads, n_kv_heads)
+        if out is None:
+            out = np.empty(b * s * sum(heads) * head_dim,
+                           np.result_type(x, self.w_q))
+        projections, start = [], 0
+        for w, n in zip((self.w_q, self.w_k, self.w_v), heads):
+            y = out[start:start + b * s * n * head_dim]
+            np.matmul(x, w, out=y.reshape(b, s, n * head_dim))
+            projections.append(
+                np.transpose(y.reshape(b, s, n, head_dim), (0, 2, 1, 3))
+            )
+            start += y.size
+        return tuple(projections)
 
-    def project_out(self, per_head: np.ndarray) -> np.ndarray:
-        """Merge per-head outputs (b, h, s, dh) back to (b, s, d_model)."""
+    def project_out(
+        self, per_head: np.ndarray, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Merge per-head outputs (b, h, s, dh) back to (b, s, d_model),
+        into ``out`` when given.
+
+        A ``per_head`` that is the transposed view of a (b, s, h * dh)
+        buffer, as :meth:`project_qkv`'s Q is, merges without a copy.
+        """
         b, h, s, dh = per_head.shape
         merged = np.transpose(per_head, (0, 2, 1, 3)).reshape(b, s, h * dh)
-        return merged @ self.w_o
+        return np.matmul(merged, self.w_o, out=out)
 
 
 @dataclass

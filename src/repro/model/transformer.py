@@ -54,6 +54,7 @@ class FunctionalTransformer:
         self.biases = head_biases(config)
         self.tokenizer = SyntheticTokenizer(config.vocab_size)
         self.attention_impl = attention_impl
+        self._workspace = np.empty(0, dtype=np.float32)
 
     # ------------------------------------------------------------------
     def new_cache(
@@ -65,6 +66,24 @@ class FunctionalTransformer:
         return SessionCache(
             c.n_layers, batch, c.n_kv_heads, c.head_dim, seq_start, capacity
         )
+
+    def workspace(self, size: int) -> np.ndarray:
+        """The first ``size`` elements of the model's float32 workspace,
+        which grows on demand and is kept for the model's life.
+
+        Prefill and decode compute every large intermediate of a layer
+        here, laid out by phase: Q from element 0, then K and V until
+        they are appended to the cache; each query chunk's scores after
+        Q, its output over its own rows of Q, and the output projection
+        after Q; then the MLP's gate, up and SiLU from element 0, its
+        result over up (see DESIGN.md, "Model hot path").  No value in it
+        is read across model calls: every call overwrites what the
+        previous one left, so sessions may interleave on one model (but
+        two threads may not call one model at once).
+        """
+        if self._workspace.size < size:
+            self._workspace = np.empty(size, dtype=np.float32)
+        return self._workspace[:size]
 
     def embed(self, tokens: np.ndarray) -> np.ndarray:
         """Token embedding lookup, (b, s) -> (b, s, d_model)."""
@@ -92,15 +111,21 @@ class FunctionalTransformer:
         cache: SessionCache,
         q_pos: np.ndarray,
         compressor,
+        scores_at: int,
     ) -> np.ndarray:
-        """Attention for layer ``li`` over the session cache, chunked."""
+        """Attention for layer ``li`` over the session cache, chunked.
+
+        Each query chunk's scores go to the workspace from element
+        ``scores_at`` on, past ``q``'s own buffer, and its output
+        overwrites that chunk's rows of ``q``, which the scores no longer
+        need; returns ``q``, now the output (b, h, sq, dh).
+        """
         lc = cache[li]
         c = self.config
         wants_probs = self._wants_probs(compressor)
         b, h, sq, _ = q.shape
         n = lc.length
         chunk = max(1, _CHUNK_ELEMENTS // max(1, b * h * n))
-        outs = []
         k_pos = lc.positions
         k_full = lc.k
         v_full = lc.v
@@ -114,22 +139,35 @@ class FunctionalTransformer:
             keep = keep_full[:, :, :kmax]
             kp = k_pos[:kmax]
             if self.attention_impl == "flash" and not wants_probs:
-                out_c = flash_attention(
+                qc[...] = flash_attention(
                     qc, kk, vv, q_pos[start:stop], kp,
                     self.biases[li], keep=keep, gqa_group=c.gqa_group,
                 )
             else:
                 shape = (b, h, stop - start, kmax)
-                scores = cache.workspace(math.prod(shape)).reshape(shape)
-                out_c, probs = naive_attention(
+                ws = self.workspace(scores_at + math.prod(shape))
+                _, probs = naive_attention(
                     qc, kk, vv, q_pos[start:stop], kp,
                     self.biases[li], keep=keep, gqa_group=c.gqa_group,
-                    out=scores,
+                    out=ws[scores_at:].reshape(shape), attn_out=qc,
                 )
                 if wants_probs:
                     compressor.observe(li, probs, q_pos[start:stop], kp, lc)
-            outs.append(out_c)
-        return outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
+        return q
+
+    def _project(
+        self, li: int, x: np.ndarray, cache: SessionCache
+    ) -> np.ndarray:
+        """Layer ``li``'s Q/K/V projections into the workspace (Q first,
+        then K and V); appends K/V to the cache and returns Q."""
+        c = self.config
+        heads = c.n_heads + 2 * c.n_kv_heads
+        qkv = self.workspace(x.size // c.d_model * heads * c.head_dim)
+        q, k, v = self.weights.layers[li].attn.project_qkv(
+            x, c.n_heads, c.n_kv_heads, c.head_dim, qkv
+        )
+        cache[li].append(k, v)
+        return q
 
     def _layer_forward(
         self,
@@ -142,13 +180,13 @@ class FunctionalTransformer:
     ) -> np.ndarray:
         c = self.config
         w = self.weights.layers[li]
-        q, k, v = w.attn.project_qkv(x, c.n_heads, c.n_kv_heads, c.head_dim)
-        cache[li].append(k, v)
-        attn = self._attend(li, q, cache, q_pos, compressor)
+        q = self._project(li, x, cache)
+        attn = self._attend(li, q, cache, q_pos, compressor, q.size)
         # ``x`` is this step's own embedding gather: update it in place
-        x += w.attn.project_out(attn)
+        proj = self.workspace(q.size + x.size)[q.size:].reshape(x.shape)
+        x += w.attn.project_out(attn, proj)
         rows = x.size // c.d_model
-        x += w.mlp.forward(x, cache.workspace(3 * rows * c.d_ff))
+        x += w.mlp.forward(x, self.workspace(3 * rows * c.d_ff))
         if compressor is not None:
             compressor.compress(li, cache[li], phase)
         return x
@@ -168,13 +206,13 @@ class FunctionalTransformer:
         c = self.config
         li = c.n_layers - 1
         w = self.weights.layers[li]
-        q, k, v = w.attn.project_qkv(x, c.n_heads, c.n_kv_heads, c.head_dim)
-        cache[li].append(k, v)
+        q = self._project(li, x, cache)
+        scores_at = q.size
         if not self._wants_probs(compressor):
             q, q_pos = q[:, :, -1:], q_pos[-1:]
-        attn = self._attend(li, q, cache, q_pos, compressor)[:, :, -1:]
-        x = x[:, -1:] + w.attn.project_out(attn)
-        x += w.mlp.forward(x, cache.workspace(3 * len(x) * c.d_ff))
+        attn = self._attend(li, q, cache, q_pos, compressor, scores_at)
+        x = x[:, -1:] + w.attn.project_out(attn[:, :, -1:])
+        x += w.mlp.forward(x, self.workspace(3 * len(x) * c.d_ff))
         if compressor is not None:
             compressor.compress(li, cache[li], "prefill")
         return x

@@ -38,16 +38,16 @@ RTOL = ATOL = 1e-4
 
 
 def every_row_last_layer(self, x, cache, q_pos, compressor):
-    """The last prefill layer over every row."""
+    """The last prefill layer over every row (Q/K/V in fresh arrays, so
+    the scores may start at the workspace's first element)."""
     c = self.config
     li = c.n_layers - 1
     w = self.weights.layers[li]
     q, k, v = w.attn.project_qkv(x, c.n_heads, c.n_kv_heads, c.head_dim)
     cache[li].append(k, v)
-    attn = self._attend(li, q, cache, q_pos, compressor)
+    attn = self._attend(li, q, cache, q_pos, compressor, 0)
     x += w.attn.project_out(attn)
-    rows = x.size // c.d_model
-    x += w.mlp.forward(x, cache.workspace(3 * rows * c.d_ff))
+    x += w.mlp.forward(x)
     if compressor is not None:
         compressor.compress(li, cache[li], "prefill")
     return x
@@ -177,10 +177,10 @@ def _last_layer_calls(model, monkeypatch):
             calls.append(("attention", q.shape[2], q_pos.copy()))
         return naive(q, k, v, q_pos, k_pos, biases, **kw)
 
-    def project_out_spy(self, per_head):
+    def project_out_spy(self, per_head, *args):
         if self is last.attn:
             calls.append(("project_out", per_head.shape[2], None))
-        return project_out(self, per_head)
+        return project_out(self, per_head, *args)
 
     def forward_spy(self, x, workspace=None):
         if self is last.mlp:
